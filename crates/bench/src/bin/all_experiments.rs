@@ -5,7 +5,7 @@
 //! runs over the *same* materialised trace, so a single `--scenario`
 //! file drives the whole report with one trace generation.
 
-use mosaic_bench::scenario_from_args;
+use mosaic_bench::{run_cells, scenario_from_args};
 use mosaic_sim::{experiments, GridAxis, Scenario, Simulation, Strategy};
 
 fn main() {
@@ -13,17 +13,7 @@ fn main() {
         "All experiments (Tables I-VI, Figure 1)",
         Scenario::effectiveness,
     );
-    let session = Simulation::from_scenario(scenario.clone()).unwrap_or_else(|e| {
-        eprintln!("failed to materialise scenario: {e}");
-        std::process::exit(2);
-    });
-    let cells = session
-        .run()
-        .unwrap_or_else(|e| {
-            eprintln!("scenario run failed: {e}");
-            std::process::exit(1);
-        })
-        .cells;
+    let (session, cells) = run_cells(&scenario);
     let beta_sweep = Scenario {
         name: format!("{}-beta-sweep", scenario.name),
         base: scenario
@@ -52,7 +42,7 @@ fn main() {
     println!("--- Table IV: running time (s) and input data size ---");
     println!("{}", experiments::table4(&cells));
     println!("--- Table V: future knowledge (beta sweep, k = 4) ---");
-    println!("{}", experiments::table5_from(&beta_cells));
+    println!("{}", experiments::table5(&beta_cells));
     println!("--- Table VI: framework comparison (measured) ---");
     println!("{}", experiments::table6(&cells, &scenario));
     println!("--- Figure 1: radar series (normalised 1..5) ---");

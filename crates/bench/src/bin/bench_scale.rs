@@ -42,8 +42,9 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mosaic_sim::runner::{self, ExperimentConfig};
-use mosaic_sim::Scenario;
+use mosaic_sim::engine::RunSummary;
+use mosaic_sim::scenario::CellSpec;
+use mosaic_sim::{ExperimentConfig, Scenario, Simulation};
 use mosaic_types::Transaction;
 use mosaic_workload::{TraceSource, WorkloadConfig};
 
@@ -102,6 +103,25 @@ fn scaled(scenario: &Scenario, accounts: usize, depth: u64) -> (WorkloadConfig, 
     (w, config)
 }
 
+/// Streams the CSV of `config` over `source` to `out`, through a session
+/// on `scenario` with its trace source replaced.
+fn stream_csv(
+    scenario: &Scenario,
+    source: TraceSource,
+    config: ExperimentConfig,
+    out: &mut dyn std::io::Write,
+) -> mosaic_types::Result<RunSummary> {
+    let sim = Simulation::from_scenario(Scenario {
+        trace: source,
+        ..scenario.clone()
+    })?;
+    let cell = CellSpec {
+        label: "scaled".to_string(),
+        config,
+    };
+    sim.stream_cell(&cell, out)
+}
+
 /// Child mode: measure one account count, print one JSON entry line.
 fn run_one(scenario_path: &str, accounts: usize, depth: u64) -> ExitCode {
     let scenario =
@@ -109,10 +129,11 @@ fn run_one(scenario_path: &str, accounts: usize, depth: u64) -> ExitCode {
     let (workload, config) = scaled(&scenario, accounts, depth);
     let txs = workload.blocks as u128 * workload.txs_per_block as u128;
     let trace_mb = (txs as f64 * std::mem::size_of::<Transaction>() as f64) / (1024.0 * 1024.0);
+    let blocks = workload.blocks;
     let source = TraceSource::StreamedGenerated(workload);
 
     let started = Instant::now();
-    let summary = runner::run_streamed(&config, &source, &mut std::io::sink())
+    let summary = stream_csv(&scenario, source, config, &mut std::io::sink())
         .unwrap_or_else(|e| fail(format!("streamed run failed: {e}")));
     let seconds = started.elapsed().as_secs_f64();
     let rss = peak_rss_mb();
@@ -121,7 +142,7 @@ fn run_one(scenario_path: &str, accounts: usize, depth: u64) -> ExitCode {
          \"peak_rss_mb\": {:.1}, \"seconds\": {:.2}, \"epochs_per_sec\": {:.3}, \
          \"speedup\": {:.2}}}",
         accounts,
-        source.workload().expect("generated source").blocks,
+        blocks,
         txs,
         trace_mb,
         rss,
@@ -136,12 +157,12 @@ fn run_one(scenario_path: &str, accounts: usize, depth: u64) -> ExitCode {
 /// given size (must be small enough to fit in memory).
 fn verify(scenario: &Scenario, accounts: usize) -> Result<(), String> {
     let (workload, config) = scaled(scenario, accounts, 1);
-    let source = TraceSource::StreamedGenerated(workload);
     let mut streamed: Vec<u8> = Vec::new();
-    runner::run_streamed(&config, &source, &mut streamed).map_err(|e| e.to_string())?;
-    let trace = source.materialize().map_err(|e| e.to_string())?;
+    let source = TraceSource::StreamedGenerated(workload.clone());
+    stream_csv(scenario, source, config, &mut streamed).map_err(|e| e.to_string())?;
     let mut resident: Vec<u8> = Vec::new();
-    runner::run_streaming(&config, &trace, &mut resident).map_err(|e| e.to_string())?;
+    let source = TraceSource::Generated(workload);
+    stream_csv(scenario, source, config, &mut resident).map_err(|e| e.to_string())?;
     if streamed != resident {
         return Err(format!(
             "streamed CSV diverged from materialised path at {accounts} accounts"

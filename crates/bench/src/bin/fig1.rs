@@ -1,7 +1,7 @@
 //! Regenerates Figure 1: the six-axis radar comparison (normalised
 //! [1, 5] series for TxAllo vs Mosaic vs hash-based).
 
-use mosaic_bench::scenario_from_args;
+use mosaic_bench::{run_cells, scenario_from_args};
 use mosaic_sim::{experiments, Scenario};
 
 fn main() {
@@ -9,6 +9,6 @@ fn main() {
         "Figure 1: efficiency/effectiveness radar",
         Scenario::effectiveness,
     );
-    let cells = experiments::run_scenario(&scenario);
+    let (_, cells) = run_cells(&scenario);
     println!("{}", experiments::fig1(&cells, &scenario));
 }

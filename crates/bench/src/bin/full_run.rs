@@ -16,12 +16,13 @@
 //! `cell_parallelism` 1 vs 2 vs a thread count beyond the machine's
 //! cores, with the adaptive sequential cutoff disabled so the pool
 //! engages at every scale — and the CSV byte streams are compared. The
-//! same matrix then re-runs with a process-wide telemetry recorder
-//! installed, so the gate also enforces the observability invariant:
-//! instrumentation must never perturb a result byte. Any difference
-//! exits non-zero; this is the end-to-end enforcement of the
-//! allocators' parallel-equals-sequential contract, exercised through
-//! the scenario parser and session path CI actually ships.
+//! same matrix then re-runs through a second session whose scenario
+//! adds a `telemetry=jsonl:/dev/null` observer, so every core records
+//! spans and counters and the gate also enforces the observability
+//! invariant: instrumentation must never perturb a result byte. Any
+//! difference exits non-zero; this is the end-to-end enforcement of
+//! the allocators' parallel-equals-sequential contract, exercised
+//! through the scenario parser and session path CI actually ships.
 //!
 //! ```text
 //! cargo run -p mosaic-bench --release --bin full_run -- --scenario scenarios/full.scenario
@@ -35,20 +36,20 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use mosaic_bench::{print_header, scenario_path_from_args};
+use mosaic_metrics::parallel::set_par_cutoff;
 use mosaic_sim::engine::RunSummary;
 use mosaic_sim::scenario::CellSpec;
 use mosaic_sim::{ObserverSpec, Parallelism, RunObserver, Scale, Scenario, Simulation, Strategy};
-use mosaic_telemetry::Recorder;
 
-/// Runs every cell through the session at a matrix of worker counts
-/// (`cell_parallelism` 1 vs 2 vs max), both with telemetry disabled and
-/// with a live recorder installed, and fails on any CSV byte
-/// difference. Returns `(checked, divergent)` cell counts — a gate that
-/// compared nothing must not pass.
-fn check_determinism(sim: &Simulation) -> (usize, usize) {
+/// Runs every cell through `plain` at a matrix of worker counts
+/// (`cell_parallelism` 1 vs 2 vs max), then through `telemetry` (the
+/// same scenario plus a telemetry observer) at the same levels, and
+/// fails on any CSV byte difference. Returns `(checked, divergent)`
+/// cell counts — a gate that compared nothing must not pass.
+fn check_determinism(plain: &Simulation, telemetry: &Simulation) -> (usize, usize) {
     // The gate must exercise the pool even at scales below the adaptive
     // sequential cutoff — byte-identity is the contract at every size.
-    mosaic_sim::parallel::set_par_cutoff(1);
+    set_par_cutoff(1);
     // Strictly more workers than the machine has cores (2x, minimum 4),
     // so the threaded code paths engage even on single-core runners AND
     // the oversubscribed-scheduling case is exercised on every runner.
@@ -61,9 +62,9 @@ fn check_determinism(sim: &Simulation) -> (usize, usize) {
         .saturating_mul(2)
         .max(4);
     // (workers, instrumented): the telemetry-off baseline matrix, then
-    // the same worker levels with a live recorder installed. Telemetry
-    // events go to `io::sink()` — the recorder still takes every hot
-    // path (counters, spans, clock reads), only the bytes vanish.
+    // the same worker levels with a live recorder. Telemetry events go
+    // to /dev/null — the recorder still takes every hot path (counters,
+    // spans, clock reads), only the bytes vanish.
     let variants = [
         (2usize, false),
         (max_workers, false),
@@ -73,17 +74,11 @@ fn check_determinism(sim: &Simulation) -> (usize, usize) {
     ];
     let mut checked = 0usize;
     let mut divergent = 0usize;
-    for cell in sim.cells() {
+    for cell in plain.cells() {
         checked += 1;
         let name = format!("{} / {}", cell.label, cell.config.strategy.name());
         let stream_at = |parallelism: Parallelism, instrumented: bool| {
-            let recorder = if instrumented {
-                Recorder::with_sink(Box::new(std::io::sink()))
-            } else {
-                Recorder::disabled()
-            };
-            mosaic_telemetry::install_global(recorder);
-            mosaic_sim::parallel::thread_pool_reset();
+            let sim = if instrumented { telemetry } else { plain };
             let mut variant = cell.clone();
             variant.config.cell_parallelism = parallelism;
             let mut bytes: Vec<u8> = Vec::new();
@@ -121,8 +116,6 @@ fn check_determinism(sim: &Simulation) -> (usize, usize) {
             );
         }
     }
-    mosaic_telemetry::install_global(Recorder::disabled());
-    mosaic_sim::parallel::thread_pool_reset();
     (checked, divergent)
 }
 
@@ -198,11 +191,22 @@ fn main() {
     );
 
     if check {
-        let sim = Simulation::from_scenario(scenario).unwrap_or_else(|e| {
+        let mut observers = scenario.observers.clone();
+        observers.retain(|o| !matches!(o, ObserverSpec::Telemetry(_)));
+        observers.push(ObserverSpec::Telemetry(PathBuf::from("/dev/null")));
+        let instrumented = scenario.clone().with_observers(observers);
+        let materialise_failed = |e: mosaic_types::Error| -> Simulation {
             eprintln!("failed to materialise scenario: {e}");
             std::process::exit(2);
-        });
-        let (checked, divergent) = check_determinism(&sim);
+        };
+        let plain = Simulation::from_scenario(scenario).unwrap_or_else(materialise_failed);
+        // Share the resident trace instead of materialising it twice.
+        let instrumented = match plain.try_trace() {
+            Some(trace) => Simulation::with_trace(instrumented, trace),
+            None => Simulation::from_scenario(instrumented),
+        }
+        .unwrap_or_else(materialise_failed);
+        let (checked, divergent) = check_determinism(&plain, &instrumented);
         if divergent > 0 {
             eprintln!("determinism check FAILED for {divergent} cells");
             std::process::exit(1);

@@ -1,6 +1,6 @@
 //! Regenerates Table I: average cross-shard transaction ratios.
 
-use mosaic_bench::scenario_from_args;
+use mosaic_bench::{run_cells, scenario_from_args};
 use mosaic_sim::{experiments, Scenario};
 
 fn main() {
@@ -8,6 +8,6 @@ fn main() {
         "Table I: cross-shard transaction ratio",
         Scenario::effectiveness,
     );
-    let cells = experiments::run_scenario(&scenario);
+    let (_, cells) = run_cells(&scenario);
     println!("{}", experiments::table1(&cells));
 }

@@ -1,6 +1,6 @@
 //! Regenerates Table IV: average running time (seconds) and input size.
 
-use mosaic_bench::scenario_from_args;
+use mosaic_bench::{run_cells, scenario_from_args};
 use mosaic_sim::{experiments, Scenario};
 
 fn main() {
@@ -8,6 +8,6 @@ fn main() {
         "Table IV: running time and input data size",
         Scenario::effectiveness,
     );
-    let cells = experiments::run_scenario(&scenario);
+    let (_, cells) = run_cells(&scenario);
     println!("{}", experiments::table4(&cells));
 }

@@ -1,6 +1,6 @@
 //! Regenerates Table V: impact of the future-knowledge ratio β.
 
-use mosaic_bench::scenario_from_args;
+use mosaic_bench::{run_cells, scenario_from_args};
 use mosaic_sim::{experiments, Scenario};
 
 fn main() {
@@ -8,5 +8,6 @@ fn main() {
         "Table V: future knowledge (beta sweep, k = 4)",
         Scenario::beta_sweep,
     );
-    println!("{}", experiments::table5(&scenario));
+    let (_, cells) = run_cells(&scenario);
+    println!("{}", experiments::table5(&cells));
 }

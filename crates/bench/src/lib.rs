@@ -26,7 +26,7 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use mosaic_sim::{Scale, Scenario};
+use mosaic_sim::{GridCell, Scale, Scenario, Simulation};
 
 /// Extracts the `--scenario <path>` (or `--scenario=<path>`) argument,
 /// if present.
@@ -64,6 +64,23 @@ pub fn scenario_from_args(experiment: &str, preset: impl FnOnce(&Scale) -> Scena
     };
     print_header(experiment, &scenario);
     scenario
+}
+
+/// Builds the session for `scenario` and runs every cell, exiting with
+/// status 2 if the trace cannot be materialised and 1 if a cell fails.
+pub fn run_cells(scenario: &Scenario) -> (Simulation, Vec<GridCell>) {
+    let session = Simulation::from_scenario(scenario.clone()).unwrap_or_else(|e| {
+        eprintln!("failed to materialise scenario: {e}");
+        std::process::exit(2);
+    });
+    let cells = session
+        .run()
+        .unwrap_or_else(|e| {
+            eprintln!("scenario run failed: {e}");
+            std::process::exit(1);
+        })
+        .cells;
+    (session, cells)
 }
 
 /// Prints the standard two-line experiment header for a scenario.

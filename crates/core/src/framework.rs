@@ -16,8 +16,8 @@
 use std::time::Duration;
 
 use mosaic_chain::{EpochOutcome, Ledger};
-use mosaic_metrics::timing::DurationStats;
 use mosaic_metrics::{EpochLoad, LoadParams};
+use mosaic_telemetry::DurationStats;
 use mosaic_types::hash::{sha256_prefix_u64, FnvHashMap};
 use mosaic_types::{AccountId, MigrationRequest, SystemParams, Transaction};
 

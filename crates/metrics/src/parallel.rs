@@ -135,7 +135,7 @@ static PAR_CUTOFF: AtomicUsize = AtomicUsize::new(CUTOFF_UNSET);
 /// ([`map_indexed`], [`map_indexed_scratch`], [`chunked_scan_commit`],
 /// [`chunked_scan_commit_slices`]) fall back to the sequential loop
 /// below it. Initialised from `MOSAIC_PAR_CUTOFF` on first use,
-/// otherwise [`DEFAULT_PAR_CUTOFF`] (4096).
+/// otherwise `DEFAULT_PAR_CUTOFF` (4096).
 pub fn par_cutoff() -> usize {
     let v = PAR_CUTOFF.load(Ordering::Relaxed);
     if v != CUTOFF_UNSET {
@@ -295,12 +295,12 @@ impl Default for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Creates an empty pool; threads are spawned on first use. The
-    /// pool captures the process-wide telemetry recorder at this point
-    /// — install it (and [`thread_pool_reset`] existing pools) *before*
-    /// the first parallel call if you want per-lane busy/park time.
+    /// Creates an empty pool; threads are spawned on first use. Its
+    /// recorder is disabled — the thread-local pools the helpers use
+    /// record nothing; build a pool with [`WorkerPool::with_recorder`]
+    /// for per-lane busy/park time.
     pub fn new() -> Self {
-        WorkerPool::with_recorder(mosaic_telemetry::global())
+        WorkerPool::with_recorder(Recorder::disabled())
     }
 
     /// Creates an empty pool reporting per-lane busy/park time to

@@ -18,11 +18,6 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// The online mean/min/max accumulator now lives in `mosaic-telemetry`
-/// (folded into its histogram types); this re-export keeps Table IV
-/// callers compiling unchanged.
-pub use mosaic_telemetry::DurationStats;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -32,13 +27,5 @@ mod tests {
         let (v, d) = time_it(|| 42);
         assert_eq!(v, 42);
         assert!(d < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn reexported_duration_stats_accumulate() {
-        let mut s = DurationStats::new();
-        s.record(Duration::from_millis(10));
-        s.record(Duration::from_millis(30));
-        assert_eq!(s.mean(), Duration::from_millis(20));
     }
 }

@@ -4,8 +4,8 @@
 //! Each accepted connection negotiates its codec ([`crate::wire`]) from
 //! the first bytes — a `MOSB` hello selects the binary frame protocol,
 //! anything else is a line-mode session — and then owns a private
-//! [`NodeSession`](crate::session::NodeSession): the
-//! [`SessionRegistry`] spins up a dedicated core thread the moment the
+//! [`NodeSession`]: the
+//! `SessionRegistry` spins up a dedicated core thread the moment the
 //! connection's first request arrives (for a replay client, its
 //! `BEGIN`), and the handler forwards decoded requests to it over a
 //! **bounded** mpsc queue. N clients therefore replay N scenarios
@@ -152,8 +152,8 @@ pub fn serve(listener: TcpListener, scenario: Scenario) -> Result<()> {
 }
 
 /// [`serve`] with an explicit telemetry switch (`mosaic-node serve
-/// --telemetry off`). When on, the server-wide recorder is installed as
-/// the process-wide default so worker-pool lane counters are captured;
+/// --telemetry off`). When on, every session records into its own
+/// recorder and `STATS` merges them into this server's aggregate;
 /// when off, every recorder is a no-op and `STATS` replies say so.
 ///
 /// # Errors
@@ -173,9 +173,6 @@ pub fn serve_with_telemetry(
         .map_err(|e| io_error("<listener>", &e))?;
     let stop = Arc::new(AtomicBool::new(false));
     let stats = ServerStats::new(telemetry);
-    if telemetry {
-        mosaic_telemetry::install_global(stats.recorder().clone());
-    }
     let registry = Arc::new(SessionRegistry::new(scenario, stats));
 
     let mut handlers = Vec::new();

@@ -1,24 +1,23 @@
 //! Server-wide telemetry aggregation behind the `STATS` request.
 //!
-//! One [`ServerStats`] lives for the whole `serve` lifetime. It owns
-//! the server-wide [`Recorder`] (installed process-wide when telemetry
-//! is on, so worker-pool lane counters land here) and hands every
-//! session its own private recorder at registration — per-session
-//! counters therefore never contend with each other, and a `STATS`
-//! reply can show *this* connection's numbers next to the server-wide
-//! aggregate. Sessions that end fold their final snapshot into a
-//! retained merge, so the aggregate never forgets a finished replay.
+//! One [`ServerStats`] lives for the whole `serve` lifetime and hands
+//! every session its own private [`Recorder`] at registration. Nothing
+//! is installed process-wide, so two servers in one process keep
+//! disjoint aggregates. Per-session counters never contend with each
+//! other, and a `STATS` reply can show *this* connection's numbers next
+//! to the server-wide aggregate. Sessions that end fold their final
+//! snapshot into a retained merge, so the aggregate never forgets a
+//! finished replay.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mosaic_telemetry::{json_f64, Recorder, Snapshot};
 
-/// The node's telemetry root: the server-wide recorder plus the
-/// registry of per-session recorders, aggregated on demand for `STATS`.
+/// The node's telemetry root: the registry of per-session recorders,
+/// aggregated on demand for `STATS`.
 pub struct ServerStats {
     enabled: bool,
-    recorder: Recorder,
     sessions_started: AtomicU64,
     active: Mutex<Vec<(u64, Recorder)>>,
     /// Final snapshots of finished sessions, pre-merged.
@@ -31,11 +30,6 @@ impl ServerStats {
     pub fn new(enabled: bool) -> Arc<Self> {
         Arc::new(ServerStats {
             enabled,
-            recorder: if enabled {
-                Recorder::enabled()
-            } else {
-                Recorder::disabled()
-            },
             sessions_started: AtomicU64::new(0),
             active: Mutex::new(Vec::new()),
             completed: Mutex::new(Snapshot::default()),
@@ -45,12 +39,6 @@ impl ServerStats {
     /// Whether telemetry is collected at all.
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The server-wide recorder (counters not attributable to one
-    /// session — worker-pool lanes, connection bookkeeping).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Registers session `id` and returns its private recorder.
@@ -93,8 +81,8 @@ impl ServerStats {
     }
 
     /// The `STATS` reply body: the asking session's own snapshot (when
-    /// given), then the server-wide aggregate — server recorder merged
-    /// with every finished and live session.
+    /// given), then the server-wide aggregate — every finished and live
+    /// session merged.
     pub fn stats_lines(&self, session: Option<(u64, &Recorder)>) -> Vec<String> {
         let mut lines = vec![format!(
             "telemetry {}",
@@ -108,8 +96,7 @@ impl ServerStats {
             "server sessions_started {}",
             self.sessions_started()
         ));
-        let mut merged = self.recorder.snapshot();
-        merged.merge(&self.completed.lock().expect("stats lock"));
+        let mut merged = self.completed.lock().expect("stats lock").clone();
         let active = self.active.lock().expect("stats lock");
         lines.push(format!("server sessions_active {}", active.len()));
         for (_, recorder) in active.iter() {

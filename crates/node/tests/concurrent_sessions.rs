@@ -201,3 +201,46 @@ fn sessions_are_isolated_per_connection() {
     drop(a);
     stop(&addr, server);
 }
+
+#[test]
+fn two_servers_in_one_process_keep_disjoint_stats() {
+    let scenario = quick_scenario();
+    let (addr_a, server_a) = boot(&scenario);
+    let (addr_b, server_b) = boot(&scenario);
+    let tx = |i: u64| {
+        mosaic_types::Transaction::new(
+            mosaic_types::TxId::new(i),
+            mosaic_types::AccountId::new(i % 800),
+            mosaic_types::AccountId::new((i + 1) % 800),
+            mosaic_types::BlockHeight::new(i / 4),
+        )
+    };
+
+    let mut a = MosaicClient::connect(&addr_a, Wire::Binary).unwrap();
+    let mut b = MosaicClient::connect(&addr_b, Wire::Line).unwrap();
+    a.begin(0, 2000).unwrap();
+    a.ingest_block(&(0..10).map(tx).collect::<Vec<_>>())
+        .unwrap();
+    b.begin(1, 2000).unwrap();
+    b.ingest_block(&(0..7).map(tx).collect::<Vec<_>>()).unwrap();
+    // An offline run in the same process counts into neither server.
+    assert!(!offline_csvs(&scenario).is_empty());
+
+    let a_stats = a.stats().unwrap();
+    let b_stats = b.stats().unwrap();
+    for (stats, own) in [(&a_stats, 10), (&b_stats, 7)] {
+        assert!(
+            stats.contains(&format!("server counter core.txs_ingested {own}")),
+            "{stats:?}"
+        );
+        assert!(
+            stats.contains(&"server sessions_started 1".to_string()),
+            "{stats:?}"
+        );
+    }
+
+    drop(b);
+    drop(a);
+    stop(&addr_a, server_a);
+    stop(&addr_b, server_b);
+}

@@ -28,7 +28,7 @@
 //! with stale scores recomputed inline, so the partition is
 //! **bit-identical** to the sequential run at any worker count
 //! (proptested in `tests/parallel_equivalence.rs`). Every coarsening
-//! level stores its adjacency in flat CSR lanes ([`WorkGraph`]:
+//! level stores its adjacency in flat CSR lanes (`WorkGraph`:
 //! contiguous `u32` neighbour ids and `u64` weights), so the scoring
 //! loops stream branch-light over contiguous memory instead of chasing
 //! one `Vec` per node, and refinement gain vectors land in the sweep's

@@ -187,7 +187,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use core::ops::Range;
 
-    /// Size specification for [`vec`]: an exact length or a range.
+    /// Size specification for [`vec()`]: an exact length or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -222,7 +222,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -1,16 +1,17 @@
 //! The incremental allocation core: one pipeline behind every driver.
 //!
-//! [`AllocationCore`] owns the pieces the batch epoch loop used to
-//! interleave inline — incremental [`History`]/CSR training-graph
-//! absorption, [`EpochStrategy`] invocation at τ-block boundaries, the
-//! migration protocol (beacon commits, reconfiguration, per-shard
-//! processing via [`mosaic_chain::Ledger`]), and an always-queryable
-//! `shard_of` map — so that the offline batch paths
-//! ([`crate::engine::run_with_observer`],
-//! [`crate::engine::run_streamed_with_observer`],
-//! [`crate::session::Simulation`]) and a live `mosaic-node` service are
-//! thin drivers over the *same* state machine, byte-identical by
-//! construction.
+//! [`AllocationCore`] owns the pieces of the §V-A epoch protocol —
+//! incremental [`History`]/CSR training-graph absorption,
+//! [`EpochStrategy`] invocation at τ-block boundaries, the migration
+//! protocol (beacon commits, reconfiguration, per-shard processing via
+//! [`mosaic_chain::Ledger`]), and an always-queryable `shard_of` map.
+//! The protocol's windowing rules — the training cut, τ-block training
+//! chunks, the recent window, the evaluation windows and the
+//! `eval_epochs` cap — live in one private `EpochPlan`. The offline
+//! driver inside [`crate::session::Simulation`] and the event API
+//! below both walk that plan, so offline runs and a live `mosaic-node`
+//! service are thin drivers over the *same* state machine,
+//! byte-identical by construction.
 //!
 //! Two layers of API:
 //!
@@ -18,11 +19,11 @@
 //!   [`AllocationCore::ingest_training_chunk`],
 //!   [`AllocationCore::finish_training`],
 //!   [`AllocationCore::process_epoch`], and the `commit_window_*`
-//!   methods. Drivers that already hold whole epoch windows (the
-//!   materialised and streamed engine loops) call these in exactly the
-//!   sequence the historical loops used, which is what keeps the
-//!   equivalence harness (`tests/scenario_equivalence.rs`, the
-//!   determinism CI gate) byte-green across the refactor.
+//!   methods. Drivers that already hold whole epoch windows call
+//!   these: the offline driver borrows ranges of a resident trace
+//!   (`ingest_training` + `commit_window_retained`, one CSR merge at
+//!   the initial allocation) or owns buffers read from a window stream
+//!   (`ingest_training_chunk` + `commit_window_owned`).
 //! * **Event API** — [`AllocationCore::begin`],
 //!   [`AllocationCore::ingest_tx`] / [`AllocationCore::ingest_block`],
 //!   [`AllocationCore::end_stream`]. Transactions arrive one at a time
@@ -34,15 +35,14 @@
 //! Both layers fold training data and process epochs through the same
 //! code, and both orderings are chunking-invariant folds in block
 //! order, so the event-driven rows are byte-identical to the batch rows
-//! for the same trace (asserted end-to-end by the `mosaic-node` replay
-//! tests and CI job).
+//! for the same trace (asserted by `tests/scenario_equivalence.rs`, the
+//! `mosaic-node` replay tests and the CI node job).
 
 use std::time::Duration;
 
 use mosaic_chain::Ledger;
-use mosaic_metrics::timing::DurationStats;
 use mosaic_metrics::{AggregateBuilder, EpochMetrics};
-use mosaic_telemetry::{Counter, Gauge, Recorder};
+use mosaic_telemetry::{Counter, DurationStats, Gauge, Recorder};
 use mosaic_types::{AccountId, Error, Result, ShardId, Transaction};
 
 use crate::engine::{EpochCtx, EpochStrategy, History, MigrationCount, RunSummary};
@@ -50,14 +50,14 @@ use crate::runner::ExperimentConfig;
 
 /// How a training chunk is folded into the [`History`].
 ///
-/// The distinction exists because the streamed training loop wants the
-/// un-merged graph delta bounded by one chunk ([`TrainingFold::Merge`])
-/// except for the final recent-window chunk (kept un-merged so the
-/// initial allocation pays for exactly one merge, matching the
-/// materialised loop's cost accounting), while strategies that never
-/// read the training graph at all skip edge accumulation entirely
-/// ([`TrainingFold::Skip`]) — the RSS/time win large streamed scenarios
-/// rely on.
+/// The distinction exists because a driver feeding owned chunks wants
+/// the un-merged graph delta bounded by one chunk
+/// ([`TrainingFold::Merge`]) except for the final recent-window chunk
+/// (kept un-merged so the initial allocation pays for exactly one
+/// merge, matching the borrowed-slice feed's cost accounting), while
+/// strategies that never read the training graph at all skip edge
+/// accumulation entirely ([`TrainingFold::Skip`]) — the RSS/time win
+/// large streamed scenarios rely on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainingFold {
     /// Absorb the chunk's edges and merge them into the maintained CSR.
@@ -72,7 +72,7 @@ pub enum TrainingFold {
     Skip,
 }
 
-/// `true` if `strategy` lets the streamed pipeline skip training-graph
+/// `true` if `strategy` lets the drivers skip training-graph
 /// accumulation entirely: it never consults the history after the
 /// initial allocation *and* its initial allocation never reads the
 /// graph (e.g. the hash-based Random baseline). Such strategies see an
@@ -137,34 +137,141 @@ struct EpochSnapshot {
     cross: Vec<usize>,
 }
 
-/// Where the event-driven feed currently is.
+/// The §V-A windowing rules over a trace spanning blocks `[0, blocks)`
+/// — the one place the training cut and the recent window are derived.
+///
+/// The plan is a sequence of [`Step`]s: τ-block training chunks up to
+/// `cut − τ`, then the recent window `[cut − τ, cut)` that closes
+/// training (and becomes the first epoch's recent window), then
+/// τ-block evaluation windows while their start is `≤ max_block`, at
+/// most `eval_epochs` of them. Windows past the last transaction are
+/// still planned (they are empty). The offline driver
+/// ([`crate::session::Simulation`]) and the event API
+/// ([`AllocationCore::begin`]) both walk it, so every feed processes
+/// the same ranges in the same order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Ingesting the training prefix `[0, cut_block)`.
-    Training,
-    /// Ingesting evaluation windows of τ blocks each.
-    Evaluating,
-    /// `eval_epochs` epochs processed (or the stream ended); further
-    /// transactions are ignored, queries stay answerable.
-    Done,
+pub(crate) struct EpochPlan {
+    tau: u64,
+    cut: u64,
+    recent_start: u64,
+    max_block: u64,
+    eval_epochs: usize,
+}
+
+/// What one [`EpochPlan`] range is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StepKind {
+    /// A training chunk before the recent window.
+    Train,
+    /// The recent window `[cut − τ, cut)`: the last training chunk,
+    /// after which the initial allocation runs.
+    Recent,
+    /// Evaluation epoch `i`.
+    Eval(usize),
+}
+
+/// One block range `[start, end)` of an [`EpochPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Step {
+    pub(crate) kind: StepKind,
+    pub(crate) start: u64,
+    pub(crate) end: u64,
+}
+
+impl Step {
+    /// How a training step is folded into the history: not at all if
+    /// the strategy skips the training graph, deferred to the initial
+    /// allocation for the recent window, merged otherwise.
+    pub(crate) fn fold(self, skip_graph: bool) -> TrainingFold {
+        if skip_graph {
+            TrainingFold::Skip
+        } else if self.kind == StepKind::Recent {
+            TrainingFold::Defer
+        } else {
+            TrainingFold::Merge
+        }
+    }
+}
+
+impl EpochPlan {
+    /// The plan of `config` over a trace spanning `blocks` blocks.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::EmptyTrace`] if `blocks` is zero.
+    pub(crate) fn new(config: &ExperimentConfig, blocks: u64) -> Result<Self> {
+        if blocks == 0 {
+            return Err(Error::EmptyTrace);
+        }
+        let tau = u64::from(config.params.tau());
+        let cut = ((blocks as f64) * config.train_fraction).floor() as u64;
+        Ok(EpochPlan {
+            tau,
+            cut,
+            recent_start: cut.saturating_sub(tau),
+            max_block: blocks - 1,
+            eval_epochs: config.eval_epochs,
+        })
+    }
+
+    /// The first step (a training chunk or, if `cut ≤ τ`, the recent
+    /// window).
+    pub(crate) fn first(&self) -> Step {
+        self.training_step(0)
+    }
+
+    /// The step after `step`, or `None` once the plan is exhausted.
+    pub(crate) fn next(&self, step: Step) -> Option<Step> {
+        match step.kind {
+            StepKind::Train => Some(self.training_step(step.end)),
+            StepKind::Recent => self.eval_step(0, self.cut),
+            StepKind::Eval(i) => self.eval_step(i + 1, step.end),
+        }
+    }
+
+    /// Every step, in order.
+    pub(crate) fn steps(self) -> impl Iterator<Item = Step> {
+        std::iter::successors(Some(self.first()), move |&step| self.next(step))
+    }
+
+    fn training_step(&self, start: u64) -> Step {
+        if start >= self.recent_start {
+            Step {
+                kind: StepKind::Recent,
+                start: self.recent_start,
+                end: self.cut,
+            }
+        } else {
+            Step {
+                kind: StepKind::Train,
+                start,
+                end: start.saturating_add(self.tau).min(self.recent_start),
+            }
+        }
+    }
+
+    fn eval_step(&self, index: usize, start: u64) -> Option<Step> {
+        (index < self.eval_epochs && start <= self.max_block).then_some(Step {
+            kind: StepKind::Eval(index),
+            start,
+            end: start.saturating_add(self.tau),
+        })
+    }
 }
 
 /// Windowing state of the event-driven feed ([`AllocationCore::begin`]).
 #[derive(Debug)]
 struct StreamState {
     blocks: u64,
-    cut_block: u64,
-    recent_start: u64,
-    phase: Phase,
-    /// Start block of the training chunk / evaluation window being
-    /// buffered.
-    window_start: u64,
+    plan: EpochPlan,
+    /// The step being buffered; `None` once the plan is exhausted
+    /// (further transactions are ignored, queries stay answerable).
+    step: Option<Step>,
     /// Highest block number ingested so far (monotonicity check).
     high_block: Option<u64>,
-    /// Transactions of the current chunk/window.
+    /// Transactions of the current step.
     buf: Vec<Transaction>,
-    /// The previous epoch's transactions (initially the last τ blocks
-    /// of training).
+    /// The previous epoch's transactions (initially the recent window).
     recent: Vec<Transaction>,
 }
 
@@ -206,12 +313,11 @@ impl CoreMetrics {
 /// — either explicitly (batch primitives) or transaction-by-transaction
 /// (event API). See the [module docs](self) for the two layers.
 ///
-/// The core captures the process-wide telemetry recorder at
-/// construction (see [`mosaic_telemetry::install_global`]) and emits
-/// per-epoch phase spans (`epoch.train` / `epoch.score` /
-/// `epoch.migrate` / `epoch.commit`) and `core.*` counters through it;
-/// a disabled recorder — the default — makes every emission a single
-/// branch, and nothing telemetry does feeds back into results.
+/// The core starts with a disabled recorder; hand it one with
+/// [`AllocationCore::set_recorder`] to get per-epoch phase spans
+/// (`epoch.train` / `epoch.score` / `epoch.migrate` / `epoch.commit`)
+/// and `core.*` counters. Disabled, every emission is a single branch,
+/// and nothing telemetry does feeds back into results.
 #[derive(Debug)]
 pub struct AllocationCore<'t> {
     config: ExperimentConfig,
@@ -236,7 +342,7 @@ impl<'t> AllocationCore<'t> {
     /// A fresh core for one experiment cell. No allocation exists until
     /// [`AllocationCore::finish_training`] runs.
     pub fn new(config: ExperimentConfig) -> Self {
-        let recorder = mosaic_telemetry::global();
+        let recorder = Recorder::disabled();
         let metrics = CoreMetrics::bind(&recorder);
         AllocationCore {
             config,
@@ -289,9 +395,10 @@ impl<'t> AllocationCore<'t> {
     // Batch primitives
     // ------------------------------------------------------------------
 
-    /// Ingests the whole training prefix as one borrowed slice (the
-    /// materialised driver): O(1) history append plus one
-    /// [`EpochStrategy::observe_training`] call.
+    /// Ingests a training chunk borrowed from a trace that outlives the
+    /// core (the resident-trace feed): O(1) history append plus one
+    /// [`EpochStrategy::observe_training`] call. The graph is merged
+    /// once, at [`AllocationCore::finish_training`].
     pub fn ingest_training(&mut self, strategy: &mut dyn EpochStrategy, train: &'t [Transaction]) {
         self.metrics.txs.add(train.len() as u64);
         let span = self.recorder.span("epoch.train");
@@ -300,7 +407,7 @@ impl<'t> AllocationCore<'t> {
         span.finish();
     }
 
-    /// Ingests one owned training chunk (the streamed driver and the
+    /// Ingests one owned training chunk (the window-stream feed and the
     /// event API): the chunk is observed, folded per `fold`, and may be
     /// dropped by the caller immediately after.
     pub fn ingest_training_chunk(
@@ -374,8 +481,8 @@ impl<'t> AllocationCore<'t> {
 
     /// Frees the accreted training graph if `strategy` will never
     /// consult the history again — the memory bound streamed sessions
-    /// rely on. The materialised driver never calls this (its history
-    /// borrows from the resident trace and costs nothing extra).
+    /// rely on. Every driver calls this right after
+    /// [`AllocationCore::finish_training`].
     pub fn release_history_if_unused(&mut self, strategy: &dyn EpochStrategy) {
         if !strategy.consumes_history() {
             self.history.release();
@@ -477,7 +584,7 @@ impl<'t> AllocationCore<'t> {
     }
 
     /// Commits a processed window whose transactions outlive the core
-    /// (the materialised driver): the strategy observes it, then the
+    /// (the resident-trace feed): the strategy observes it, then the
     /// history retains the slice in O(1).
     pub fn commit_window_retained(
         &mut self,
@@ -488,7 +595,7 @@ impl<'t> AllocationCore<'t> {
         self.history.extend(window);
     }
 
-    /// Commits a processed window the caller owns (streamed driver,
+    /// Commits a processed window the caller owns (window-stream feed,
     /// event API): the strategy observes it, then the history either
     /// absorbs its edges or — for strategies that never consult the
     /// history again — records only the count.
@@ -505,8 +612,7 @@ impl<'t> AllocationCore<'t> {
         }
     }
 
-    /// The run summary over everything processed so far — bit-identical
-    /// to what the historical batch loops returned at the same point.
+    /// The run summary over everything processed so far.
     pub fn summary(&self) -> RunSummary {
         RunSummary {
             epochs: self.aggregate.epochs(),
@@ -569,25 +675,19 @@ impl<'t> AllocationCore<'t> {
     // ------------------------------------------------------------------
 
     /// Starts an event-driven feed spanning `blocks` blocks total. The
-    /// training cut and τ windowing are derived exactly as the streamed
-    /// batch loop derives them, so the rows the feed produces are
-    /// byte-identical to a batch run over the same trace.
+    /// feed walks the same `EpochPlan` as the offline driver, so the
+    /// rows it produces are byte-identical to a batch run over the same
+    /// trace.
     ///
     /// # Errors
     ///
     /// [`Error::EmptyTrace`] if `blocks` is zero.
     pub fn begin(&mut self, blocks: u64) -> Result<()> {
-        if blocks == 0 {
-            return Err(Error::EmptyTrace);
-        }
-        let cut_block = ((blocks as f64) * self.config.train_fraction).floor() as u64;
-        let recent_start = cut_block.saturating_sub(u64::from(self.config.params.tau()));
+        let plan = EpochPlan::new(&self.config, blocks)?;
         self.stream = Some(StreamState {
             blocks,
-            cut_block,
-            recent_start,
-            phase: Phase::Training,
-            window_start: 0,
+            plan,
+            step: Some(plan.first()),
             high_block: None,
             buf: Vec::new(),
             recent: Vec::new(),
@@ -600,7 +700,7 @@ impl<'t> AllocationCore<'t> {
     /// finished chunk/epoch first (training chunks fold into the
     /// history; evaluation epochs run the full protocol and push their
     /// metric row onto `rows`). Transactions past the `eval_epochs`
-    /// cap are ignored, mirroring the batch loop leaving the trace tail
+    /// cap are ignored, as the offline driver leaves the trace tail
     /// unread.
     ///
     /// # Errors
@@ -642,7 +742,7 @@ impl<'t> AllocationCore<'t> {
         self.metrics.txs.incr();
         self.advance_to(strategy, block, rows)?;
         let state = self.stream.as_mut().expect("stream state present");
-        if state.phase != Phase::Done {
+        if state.step.is_some() {
             state.buf.push(tx);
         }
         Ok(())
@@ -666,11 +766,10 @@ impl<'t> AllocationCore<'t> {
         Ok(())
     }
 
-    /// Ends the feed: closes the remaining training chunks (running the
-    /// initial allocation if the cut was never crossed), then the
-    /// remaining evaluation windows — including trailing partial or
-    /// empty ones, under the same `start ≤ max_block` / `eval_epochs`
-    /// rules as the batch loop. Queries remain answerable afterwards.
+    /// Ends the feed: closes every remaining step of the plan — the
+    /// training chunks (running the initial allocation if the cut was
+    /// never crossed), then the evaluation windows, including trailing
+    /// partial or empty ones. Queries remain answerable afterwards.
     ///
     /// # Errors
     ///
@@ -681,26 +780,13 @@ impl<'t> AllocationCore<'t> {
         strategy: &mut dyn EpochStrategy,
         rows: &mut Vec<EpochMetrics>,
     ) -> Result<()> {
-        let blocks = self
-            .stream
-            .as_ref()
-            .ok_or(Error::NotInitialized("call begin() before end_stream()"))?
-            .blocks;
-        // Close every chunk/window that ends at or before the stream
-        // end; trailing (possibly empty) evaluation windows follow.
-        self.advance_to(strategy, blocks, rows)?;
-        let mut state = self.stream.take().expect("stream state present");
-        let max_block = state.blocks - 1;
-        while state.phase == Phase::Evaluating && state.window_start <= max_block {
-            self.close_epoch(strategy, &mut state, rows);
+        if self.stream.is_none() {
+            return Err(Error::NotInitialized("call begin() before end_stream()"));
         }
-        state.phase = Phase::Done;
-        self.stream = Some(state);
-        Ok(())
+        self.advance_to(strategy, u64::MAX, rows)
     }
 
-    /// Closes every training chunk / evaluation window that ends at or
-    /// before `block` (exclusive upper bounds ≤ `block`).
+    /// Closes every step of the plan that ends at or before `block`.
     fn advance_to(
         &mut self,
         strategy: &mut dyn EpochStrategy,
@@ -708,87 +794,146 @@ impl<'t> AllocationCore<'t> {
         rows: &mut Vec<EpochMetrics>,
     ) -> Result<()> {
         let mut state = self.stream.take().expect("stream state present");
-        let result = self.advance_inner(strategy, &mut state, block, rows);
+        let mut result = Ok(());
+        while let Some(step) = state.step.filter(|step| step.end <= block) {
+            result = self.close_step(strategy, &mut state, step, rows);
+            if result.is_err() {
+                break;
+            }
+            state.step = state.plan.next(step);
+        }
         self.stream = Some(state);
         result
     }
 
-    fn advance_inner(
+    /// Closes the step buffered in `state`: a training chunk folds into
+    /// the history (the recent window then runs the initial allocation
+    /// and is kept as the first recent window); an evaluation window
+    /// runs the full protocol, pushes its row onto `rows`, is committed
+    /// and becomes the next recent window.
+    fn close_step(
         &mut self,
         strategy: &mut dyn EpochStrategy,
         state: &mut StreamState,
-        block: u64,
+        step: Step,
         rows: &mut Vec<EpochMetrics>,
     ) -> Result<()> {
-        let tau = u64::from(self.config.params.tau());
-        loop {
-            match state.phase {
-                Phase::Training => {
-                    // Chunks of τ blocks up to the recent-window start,
-                    // then the single [recent_start, cut) chunk —
-                    // mirroring the streamed batch loop's boundaries so
-                    // observe_training sees identical call sequences.
-                    let closes_training = state.window_start >= state.recent_start;
-                    let chunk_end = if closes_training {
-                        state.cut_block
-                    } else {
-                        (state.window_start + tau).min(state.recent_start)
-                    };
-                    if block < chunk_end {
-                        return Ok(());
-                    }
-                    let fold = if skips_training_graph(strategy) {
-                        TrainingFold::Skip
-                    } else if closes_training {
-                        TrainingFold::Defer
-                    } else {
-                        TrainingFold::Merge
-                    };
-                    let chunk = std::mem::take(&mut state.buf);
-                    self.fold_training_chunk(strategy, &chunk, fold);
-                    if closes_training {
-                        self.finish_training(strategy)?;
-                        self.release_history_if_unused(strategy);
-                        // The training tail becomes the first recent
-                        // window, exactly as in the batch loops.
-                        state.recent = chunk;
-                        state.phase = Phase::Evaluating;
-                        state.window_start = state.cut_block;
-                    } else {
-                        state.buf = chunk;
-                        state.buf.clear();
-                        state.window_start = chunk_end;
-                    }
-                }
-                Phase::Evaluating => {
-                    if block < state.window_start + tau {
-                        return Ok(());
-                    }
-                    self.close_epoch(strategy, state, rows);
-                }
-                Phase::Done => return Ok(()),
+        if let StepKind::Eval(_) = step.kind {
+            self.metrics.queue_depth.set(state.buf.len() as f64);
+            let metrics = self.process_epoch_inner(strategy, &state.buf, &state.recent);
+            rows.push(metrics);
+            self.commit_window_owned(strategy, &state.buf);
+            std::mem::swap(&mut state.recent, &mut state.buf);
+        } else {
+            let fold = step.fold(skips_training_graph(strategy));
+            self.fold_training_chunk(strategy, &state.buf, fold);
+            if step.kind == StepKind::Recent {
+                self.finish_training(strategy)?;
+                self.release_history_if_unused(strategy);
+                std::mem::swap(&mut state.recent, &mut state.buf);
             }
         }
+        state.buf.clear();
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Strategy;
+    use mosaic_types::SystemParams;
+    use StepKind::{Eval, Recent, Train};
+
+    fn plan(blocks: u64, tau: u32, eval_epochs: usize) -> Result<EpochPlan> {
+        let params = SystemParams::builder().shards(4).tau(tau).build().unwrap();
+        EpochPlan::new(
+            &ExperimentConfig::new(params, Strategy::Random, eval_epochs),
+            blocks,
+        )
     }
 
-    /// Closes the evaluation window currently buffered in `state`:
-    /// full protocol, row onto `rows`, window committed, buffers
-    /// rotated (the processed window becomes the next recent window).
-    fn close_epoch(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        state: &mut StreamState,
-        rows: &mut Vec<EpochMetrics>,
-    ) {
-        self.metrics.queue_depth.set(state.buf.len() as f64);
-        let metrics = self.process_epoch_inner(strategy, &state.buf, &state.recent);
-        rows.push(metrics);
-        self.commit_window_owned(strategy, &state.buf);
-        std::mem::swap(&mut state.recent, &mut state.buf);
-        state.buf.clear();
-        state.window_start += u64::from(self.config.params.tau());
-        if self.aggregate.epochs() >= self.config.eval_epochs {
-            state.phase = Phase::Done;
+    /// The plan as `(kind, start, end)` triples.
+    fn steps(plan: EpochPlan) -> Vec<(StepKind, u64, u64)> {
+        plan.steps().map(|s| (s.kind, s.start, s.end)).collect()
+    }
+
+    #[test]
+    fn unaligned_cut_ends_training_with_a_short_chunk() {
+        // 100 blocks × 0.9 → cut 90; recent window [83, 90) with τ = 7.
+        let steps = steps(plan(100, 7, 200).unwrap());
+        let training: Vec<_> = steps.iter().take_while(|s| s.0 != Recent).collect();
+        assert_eq!(training.len(), 12);
+        assert_eq!(*training[0], (Train, 0, 7));
+        assert_eq!(
+            *training[11],
+            (Train, 77, 83),
+            "last chunk stops at cut − τ"
+        );
+        assert_eq!(steps[12], (Recent, 83, 90));
+        // Windows of τ from the cut while their start is ≤ 99; the last
+        // runs past the trace.
+        assert_eq!(steps[13..], [(Eval(0), 90, 97), (Eval(1), 97, 104)]);
+    }
+
+    #[test]
+    fn cut_below_tau_makes_the_recent_window_the_whole_training_prefix() {
+        // 30 blocks → cut 27 < τ = 40: no chunk before the recent window.
+        assert_eq!(
+            steps(plan(30, 40, 200).unwrap()),
+            [(Recent, 0, 27), (Eval(0), 27, 67)]
+        );
+    }
+
+    #[test]
+    fn trailing_windows_are_planned_up_to_the_last_block() {
+        // Windows start at 90, 93, 96 and 99: every start ≤ max_block
+        // 99 is planned, whether or not the trace has transactions
+        // there; none starts past it.
+        let evals: Vec<_> = steps(plan(100, 3, 200).unwrap())
+            .into_iter()
+            .filter(|s| matches!(s.0, Eval(_)))
+            .collect();
+        assert_eq!(
+            evals,
+            [
+                (Eval(0), 90, 93),
+                (Eval(1), 93, 96),
+                (Eval(2), 96, 99),
+                (Eval(3), 99, 102)
+            ]
+        );
+    }
+
+    #[test]
+    fn eval_epochs_caps_the_plan_before_the_trace_ends() {
+        let steps = steps(plan(200, 5, 2).unwrap());
+        assert_eq!(
+            steps[steps.len() - 2..],
+            [(Eval(0), 180, 185), (Eval(1), 185, 190)]
+        );
+    }
+
+    #[test]
+    fn steps_tile_the_training_prefix_and_folds_follow_the_kind() {
+        let plan = plan(1000, 30, 3).unwrap();
+        let mut next = 0;
+        for step in plan.steps() {
+            assert_eq!(step.start, next, "{step:?} leaves a gap or overlaps");
+            next = step.end;
+            let fold = step.fold(false);
+            match step.kind {
+                Train => assert_eq!(fold, TrainingFold::Merge),
+                Recent => assert_eq!(fold, TrainingFold::Defer),
+                Eval(_) => {}
+            }
+            assert_eq!(step.fold(true), TrainingFold::Skip);
         }
+        assert_eq!(next, 900 + 3 * 30);
+    }
+
+    #[test]
+    fn an_empty_trace_has_no_plan() {
+        assert!(matches!(plan(0, 5, 5), Err(Error::EmptyTrace)));
     }
 }

@@ -1,4 +1,4 @@
-//! The unified epoch engine: one pipeline for every allocation strategy.
+//! The epoch-strategy seam: one protocol for every allocation strategy.
 //!
 //! The paper's evaluation (§V-A) runs five very different allocation
 //! mechanisms through the *same* protocol — initial allocation on the
@@ -6,10 +6,12 @@
 //! metric collection over the evaluation epochs. [`EpochStrategy`] is the
 //! seam between the protocol and the mechanisms:
 //!
-//! * the protocol lives in one place per trace-ownership model:
-//!   [`run_with`] / [`run_with_observer`] drive it over a resident
-//!   trace, [`run_streamed_with_observer`] over a bounded-memory
-//!   [`EpochWindowStream`] — with byte-identical metric output;
+//! * the protocol lives in [`crate::alloc_core`]: one windowing plan
+//!   walked by the [`AllocationCore`](crate::AllocationCore) event API
+//!   and by the offline driver behind
+//!   [`Simulation`](crate::session::Simulation), over a resident trace
+//!   or a bounded-memory window stream, with byte-identical metric
+//!   output;
 //! * every mechanism is an [`EpochStrategy`] implementation — a blanket
 //!   impl adapts any miner-driven [`GlobalAllocator`] (Metis, G-TxAllo),
 //!   [`StaticStrategy`] wraps rule-only allocation (hash-based Random),
@@ -18,7 +20,7 @@
 //! * adding a sixth strategy requires a new impl plus a registry entry
 //!   ([`crate::Strategy::build`]) — the protocol is untouched.
 //!
-//! The engine also owns the evaluation hot path:
+//! The module also owns the evaluation hot path's history:
 //!
 //! * the historical graph is accreted **incrementally** ([`History`]):
 //!   epoch windows append as borrowed slices in O(1), and
@@ -30,29 +32,21 @@
 //!   proptested against). Strategies that never look at the history
 //!   (Mosaic, Random, A-TxAllo) still pay nothing;
 //! * within a cell, epoch processing parallelises over the order-stable
-//!   pool ([`crate::parallel`]) with byte-identical output
-//!   ([`crate::runner::ExperimentConfig::cell_parallelism`]);
-//! * per-epoch metric rows can be **streamed** to any sink instead of
-//!   accumulated ([`run_with_observer`]), so the paper's `full`
-//!   200-epoch protocol runs in bounded memory
-//!   (`mosaic_metrics::EpochCsvWriter` + `runner::run_streaming`).
+//!   pool ([`mosaic_metrics::parallel`]) with byte-identical output
+//!   ([`crate::runner::ExperimentConfig::cell_parallelism`]).
 
 use std::time::Duration;
 
 use mosaic_chain::Ledger;
 use mosaic_core::{ClientPolicy, MosaicFramework};
 use mosaic_metrics::data_size::miner_input_bytes;
+use mosaic_metrics::parallel::Parallelism;
 use mosaic_metrics::timing::time_it;
-use mosaic_metrics::{Aggregate, EpochLoad, EpochMetrics, LoadParams};
+use mosaic_metrics::{Aggregate, EpochLoad, LoadParams};
 use mosaic_partition::GlobalAllocator;
 use mosaic_txallo::{ATxAllo, GTxAllo, TxAlloConfig};
 use mosaic_txgraph::{GraphBuilder, TxGraph};
-use mosaic_types::{AccountShardMap, BlockHeight, Error, Result, SystemParams, Transaction};
-use mosaic_workload::{EpochWindowStream, TransactionTrace};
-
-use crate::alloc_core::{skips_training_graph, AllocationCore, TrainingFold};
-use crate::parallel::Parallelism;
-use crate::runner::{ExperimentConfig, ExperimentResult};
+use mosaic_types::{AccountShardMap, SystemParams, Transaction};
 
 /// Incrementally accreted transaction history.
 ///
@@ -135,8 +129,8 @@ impl<'t> History<'t> {
     }
 
     /// Frees the graph state (maintained CSR, delta builder, pending
-    /// windows) while keeping the transaction count. The streamed loop
-    /// calls this right after the initial allocation when the strategy
+    /// windows) while keeping the transaction count. The core calls
+    /// this right after the initial allocation when the strategy
     /// will never consult the history again — from then on the session's
     /// footprint is bounded by the current + recent window alone.
     pub fn release(&mut self) {
@@ -241,9 +235,9 @@ pub trait EpochStrategy {
     }
 
     /// Ingests one chunk of the training prefix, in block order, before
-    /// [`EpochStrategy::initial_allocation`] runs. The materialised loop
-    /// calls this once with the whole prefix; the streamed loop calls it
-    /// per τ-block chunk. Implementations must be chunking-invariant:
+    /// [`EpochStrategy::initial_allocation`] runs. The drivers call it
+    /// once per τ-block training chunk; a node may call it with any
+    /// chunking. Implementations must be chunking-invariant:
     /// a sequence of calls in order is equivalent to one call on the
     /// concatenation. Default: ignore (graph strategies read the
     /// training data from `history` instead).
@@ -264,8 +258,8 @@ pub trait EpochStrategy {
     /// `true` if the strategy consults [`EpochCtx::history`] after the
     /// initial allocation. Strategies that never do (client-driven
     /// Mosaic, the static hash baseline, incremental A-TxAllo) return
-    /// `false`, which lets the streamed loop free the accreted graph and
-    /// stop retaining windows — the memory bound the 10M-account
+    /// `false`, which lets the core free the accreted graph after the
+    /// initial allocation and stop retaining windows — the memory bound the 10M-account
     /// scenarios rely on.
     fn consumes_history(&self) -> bool {
         true
@@ -275,8 +269,8 @@ pub trait EpochStrategy {
     /// training graph ([`History::graph`]). Strategies returning
     /// `false` promise an identical initial ϕ for *any* graph content —
     /// including the empty graph — which, combined with
-    /// [`EpochStrategy::consumes_history`] `= false`, lets the streamed
-    /// pipeline skip training-graph edge accumulation entirely
+    /// [`EpochStrategy::consumes_history`] `= false`, lets every driver
+    /// skip training-graph edge accumulation entirely
     /// ([`crate::alloc_core::skips_training_graph`]): no delta builder,
     /// no CSR, just the transaction count. Only the rule-only hash
     /// baseline qualifies today; the default is conservative.
@@ -392,7 +386,7 @@ impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
 
     fn needs_training_graph(&self) -> bool {
         // Rule-only allocators (hash-based Random) never read the
-        // graph, so the streamed pipeline can skip building it.
+        // graph, so the drivers can skip building it.
         self.allocator.uses_graph()
     }
 
@@ -574,198 +568,12 @@ pub struct RunSummary {
     pub total_migrations: usize,
 }
 
-/// Runs one experiment cell with an explicit strategy — **the** epoch
-/// loop of the crate. [`crate::runner::run`] resolves the strategy from
-/// the registry and delegates here; custom strategies (new mechanisms,
-/// ablation policies) are passed in directly.
-///
-/// Collects the per-epoch rows in memory; for arbitrarily long
-/// protocols use [`run_with_observer`] (or
-/// [`crate::runner::run_streaming`]) and stream each row to a sink as
-/// it is produced.
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn run_with(
-    config: &ExperimentConfig,
-    trace: &TransactionTrace,
-    strategy: &mut dyn EpochStrategy,
-) -> ExperimentResult {
-    let mut per_epoch = Vec::with_capacity(config.eval_epochs);
-    let summary = run_with_observer(config, trace, strategy, &mut |_, metrics: &EpochMetrics| {
-        per_epoch.push(*metrics);
-        true
-    });
-    ExperimentResult {
-        strategy: config.strategy,
-        params: config.params,
-        aggregate: summary.aggregate,
-        per_epoch,
-        init_seconds: summary.init_seconds,
-        mean_alloc_seconds: summary.mean_alloc_seconds,
-        mean_input_bytes: summary.mean_input_bytes,
-        total_migrations: summary.total_migrations,
-    }
-}
-
-/// [`run_with`], but each evaluation epoch's metric row is handed to
-/// `on_epoch(epoch_index, row)` the moment it is computed instead of
-/// being accumulated — the engine itself holds O(1) metric state
-/// (a running [`AggregateBuilder`]), so the `full` 200-epoch protocol
-/// (and anything longer) runs in bounded memory when the observer
-/// streams rows to disk.
-///
-/// The observer returns whether to **continue**: returning `false`
-/// aborts the run after the current epoch (its row is already included
-/// in the summary), so a sink failure doesn't burn the rest of a long
-/// protocol. [`RunSummary::epochs`] reports how far the run got.
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn run_with_observer(
-    config: &ExperimentConfig,
-    trace: &TransactionTrace,
-    strategy: &mut dyn EpochStrategy,
-    on_epoch: &mut dyn FnMut(usize, &EpochMetrics) -> bool,
-) -> RunSummary {
-    assert!(!trace.is_empty(), "experiment needs a non-empty trace");
-    let tau = config.params.tau();
-
-    let (train, _eval) = trace.split_at_fraction(config.train_fraction);
-    let max_block = trace.max_block().expect("non-empty trace");
-    let cut_block = BlockHeight::new(
-        (((max_block.as_u64() + 1) as f64) * config.train_fraction).floor() as u64,
-    );
-
-    let mut core = AllocationCore::new(*config);
-    core.ingest_training(strategy, train);
-    core.finish_training(strategy)
-        .expect("consistent shard counts");
-
-    // The first "recent window" is the last τ blocks of training.
-    let mut recent_window = trace.block_range(
-        BlockHeight::new(cut_block.as_u64().saturating_sub(u64::from(tau))),
-        cut_block,
-    );
-
-    for (epoch, window) in trace
-        .epoch_windows(cut_block, tau)
-        .take(config.eval_epochs)
-        .enumerate()
-    {
-        let metrics = core.process_epoch(strategy, window, recent_window);
-        if !on_epoch(epoch, &metrics) {
-            break;
-        }
-        core.commit_window_retained(strategy, window);
-        recent_window = window;
-    }
-
-    core.summary()
-}
-
-/// [`run_with_observer`] over an [`EpochWindowStream`] instead of a
-/// resident trace — the same §V-A protocol, byte-identical metric rows,
-/// but the session owns at most the current and recent window (plus the
-/// incremental CSR while the strategy still consumes it; strategies with
-/// [`EpochStrategy::consumes_history`] `= false` free even that right
-/// after the initial allocation). Trace size never bounds memory.
-///
-/// The training prefix is consumed in τ-block chunks: each chunk is
-/// handed to [`EpochStrategy::observe_training`], absorbed into the
-/// history's delta builder, merged into the maintained CSR, and dropped.
-/// Both `observe_training` and graph accretion are chunking-invariant
-/// folds in block order, and the per-epoch metric rows carry no timing
-/// fields, so the streamed run's CSV output is byte-identical to the
-/// materialised run's wherever both exist (proptested in
-/// `tests/scenario_equivalence.rs`).
-///
-/// # Errors
-///
-/// [`Error::EmptyTrace`] if the stream spans no blocks (the materialised
-/// loop panics instead — a resident empty trace is a programming error,
-/// a streamed one may be a bad file); otherwise propagates stream read
-/// errors ([`Error::ParseTrace`] / [`Error::Io`]).
-pub fn run_streamed_with_observer(
-    config: &ExperimentConfig,
-    stream: &mut EpochWindowStream,
-    strategy: &mut dyn EpochStrategy,
-    on_epoch: &mut dyn FnMut(usize, &EpochMetrics) -> bool,
-) -> Result<RunSummary> {
-    let tau = config.params.tau();
-    let blocks = stream.blocks();
-    if blocks == 0 {
-        return Err(Error::EmptyTrace);
-    }
-    let max_block = blocks - 1;
-    let cut_block = ((blocks as f64) * config.train_fraction).floor() as u64;
-    let recent_start = cut_block.saturating_sub(u64::from(tau));
-
-    // Training prefix, chunked: blocks [0, cut − τ) pass through a single
-    // reused buffer; [cut − τ, cut) is kept — it becomes the first
-    // "recent window", exactly as in the materialised loop. Strategies
-    // whose initial allocation never reads the graph skip edge
-    // accumulation entirely (TrainingFold::Skip).
-    let mut core = AllocationCore::new(*config);
-    let skip_graph = skips_training_graph(strategy);
-    let chunk_blocks = u64::from(tau);
-    let mut buf: Vec<Transaction> = Vec::new();
-    while stream.position() < recent_start {
-        let to = (stream.position() + chunk_blocks).min(recent_start);
-        buf.clear();
-        stream.read_to(to, &mut buf)?;
-        let fold = if skip_graph {
-            TrainingFold::Skip
-        } else {
-            TrainingFold::Merge
-        };
-        core.ingest_training_chunk(strategy, &buf, fold);
-    }
-    let mut recent: Vec<Transaction> = Vec::new();
-    stream.read_to(cut_block, &mut recent)?;
-    let fold = if skip_graph {
-        TrainingFold::Skip
-    } else {
-        TrainingFold::Defer
-    };
-    core.ingest_training_chunk(strategy, &recent, fold);
-
-    core.finish_training(strategy)
-        .expect("consistent shard counts");
-    core.release_history_if_unused(strategy);
-
-    let mut window: Vec<Transaction> = Vec::new();
-    let mut start = cut_block;
-    for epoch in 0..config.eval_epochs {
-        // Same termination rule as `TransactionTrace::epoch_windows`:
-        // yield (possibly empty) windows while their start is in range.
-        if start > max_block {
-            break;
-        }
-        window.clear();
-        stream.read_to(start + u64::from(tau), &mut window)?;
-        let metrics = core.process_epoch(strategy, &window, &recent);
-        if !on_epoch(epoch, &metrics) {
-            break;
-        }
-        core.commit_window_owned(strategy, &window);
-        // The processed window becomes the next epoch's recent window;
-        // the old recent buffer is reused for the next read.
-        std::mem::swap(&mut recent, &mut window);
-        start += u64::from(tau);
-    }
-
-    Ok(core.summary())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mosaic_core::policy::PilotPolicy;
     use mosaic_partition::HashAllocator;
-    use mosaic_types::{AccountId, TxId};
+    use mosaic_types::{AccountId, BlockHeight, TxId};
 
     fn tx(id: u64, from: u64, to: u64, block: u64) -> Transaction {
         Transaction::new(

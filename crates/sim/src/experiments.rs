@@ -5,21 +5,20 @@
 //! can print them directly. See `EXPERIMENTS.md` at the repository root
 //! for the paper-vs-measured record.
 //!
-//! Since the scenario redesign, every grid here is *data*: the
-//! effectiveness grid is [`Scenario::effectiveness`], the β sweep is
-//! [`Scenario::beta_sweep`], and the ablations derive their grids from
-//! a base scenario — all executed by a
-//! [`Simulation`](crate::session::Simulation) session that materialises
-//! the trace once, shares it across cells behind an `Arc`, and runs the
+//! Every grid here is *data*: the effectiveness grid is
+//! [`Scenario::effectiveness`], the β sweep is [`Scenario::beta_sweep`],
+//! and the ablations derive their grids from a base scenario — all
+//! executed by a [`Simulation`] session that materialises the trace
+//! once, shares it across cells behind an `Arc`, and runs the
 //! independent cells on the order-stable worker pool. Results are
-//! order-stable and — the engine being deterministic — byte-identical
+//! order-stable and — the protocol being deterministic — byte-identical
 //! to a sequential run on the same seed.
 
 use mosaic_metrics::data_size::human_bytes;
+use mosaic_metrics::parallel::{ordered_map, Parallelism};
 use mosaic_metrics::TextTable;
 use mosaic_types::SystemParams;
 
-use crate::parallel::Parallelism;
 use crate::radar::RadarAxis;
 use crate::runner::{ExperimentConfig, ExperimentResult};
 use crate::scale::Scale;
@@ -59,32 +58,6 @@ pub fn grid_specs(scale: &Scale) -> Vec<(String, ExperimentConfig)> {
         .into_iter()
         .map(|cell| (cell.label, cell.config))
         .collect()
-}
-
-/// Runs the full effectiveness grid — every parameter set × every
-/// strategy, all on one shared trace — across the worker pool.
-pub fn effectiveness_grid(scale: &Scale) -> Vec<GridCell> {
-    effectiveness_grid_with(scale, Parallelism::Auto)
-}
-
-/// [`effectiveness_grid`] with explicit worker-pool sizing. The result
-/// is independent of the parallelism level (cells are deterministic and
-/// collected in input order). A thin wrapper over
-/// [`Simulation::from_scenario`] + [`Simulation::run`].
-pub fn effectiveness_grid_with(scale: &Scale, parallelism: Parallelism) -> Vec<GridCell> {
-    run_scenario(&Scenario::effectiveness(scale).with_grid_parallelism(parallelism))
-}
-
-/// Materialises and runs `scenario`, panicking on failure — the
-/// convenience every table function uses for presets known to be valid.
-/// Fallible callers (scenario files from disk) should drive
-/// [`Simulation`] directly.
-pub fn run_scenario(scenario: &Scenario) -> Vec<GridCell> {
-    Simulation::from_scenario(scenario.clone())
-        .unwrap_or_else(|e| panic!("scenario '{}' failed to materialise: {e}", scenario.name))
-        .run()
-        .unwrap_or_else(|e| panic!("scenario '{}' failed to run: {e}", scenario.name))
-        .cells
 }
 
 fn find<'a>(cells: &'a [GridCell], label: &str, strategy: Strategy) -> &'a ExperimentResult {
@@ -242,17 +215,10 @@ pub fn table4(cells: &[GridCell]) -> TextTable {
     t
 }
 
-/// **Table V** — impact of future knowledge: the `scenario`'s β axis
-/// run with Mosaic (the [`Scenario::beta_sweep`] preset reproduces the
-/// paper: `k = 4`, `η = 2`, `β ∈ {0, 0.25, 0.5, 0.75, 1}`).
-pub fn table5(scenario: &Scenario) -> TextTable {
-    table5_from(&run_scenario(scenario))
-}
-
-/// [`table5`] over already-run cells — for callers that executed the β
-/// sweep through their own session (e.g. sharing a trace with the main
-/// grid).
-pub fn table5_from(cells: &[GridCell]) -> TextTable {
+/// **Table V** — impact of future knowledge: the Mosaic cells of a β
+/// sweep (the [`Scenario::beta_sweep`] preset reproduces the paper:
+/// `k = 4`, `η = 2`, `β ∈ {0, 0.25, 0.5, 0.75, 1}`).
+pub fn table5(cells: &[GridCell]) -> TextTable {
     let mut t = TextTable::new(["Metrics", "Ratio", "Throughput", "Workload"]);
     for cell in cells
         .iter()
@@ -474,7 +440,7 @@ pub fn policy_ablation(session: &Simulation) -> TextTable {
     let trace = session.trace();
 
     let policies = ["Pilot", "InteractionOnly", "WorkloadOnly", "Sticky"];
-    let results = crate::parallel::ordered_map(&policies, Parallelism::Auto, |&name| {
+    let results = ordered_map(&policies, Parallelism::Auto, |&name| {
         let session = Simulation::with_trace(base.clone(), trace.clone())
             .expect("validated scenario stays valid");
         let report = session
@@ -628,10 +594,23 @@ pub fn churn_ablation(scenario: &Scenario) -> TextTable {
 mod tests {
     use super::*;
 
+    fn run(scenario: Scenario) -> Vec<GridCell> {
+        Simulation::from_scenario(scenario)
+            .unwrap()
+            .run()
+            .unwrap()
+            .cells
+    }
+
+    /// The quick effectiveness grid at `parallelism` across cells.
+    fn grid(parallelism: Parallelism) -> Vec<GridCell> {
+        run(Scenario::effectiveness(&Scale::quick()).with_grid_parallelism(parallelism))
+    }
+
     /// One shared quick grid for all table tests (the grid is the
     /// expensive part).
     fn quick_cells() -> Vec<GridCell> {
-        effectiveness_grid(&Scale::quick())
+        grid(Parallelism::Auto)
     }
 
     #[test]
@@ -665,9 +644,8 @@ mod tests {
     fn parallel_grid_matches_sequential() {
         // Determinism of the parallel pipeline: same seed ⇒ byte-identical
         // CSV series and identical cell order, regardless of scheduling.
-        let scale = Scale::quick();
-        let sequential = effectiveness_grid_with(&scale, Parallelism::Sequential);
-        let parallel = effectiveness_grid_with(&scale, Parallelism::Auto);
+        let sequential = grid(Parallelism::Sequential);
+        let parallel = grid(Parallelism::Auto);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(s.param_label, p.param_label);
@@ -687,7 +665,7 @@ mod tests {
     fn table5_is_monotonic_in_shape() {
         // Smoke test: the sweep runs and produces 5 rows; monotonicity is
         // asserted loosely (β=1 may regress slightly, as in the paper).
-        let t = table5(&Scenario::beta_sweep(&Scale::quick()));
+        let t = table5(&run(Scenario::beta_sweep(&Scale::quick())));
         assert_eq!(t.row_count(), 5);
     }
 

@@ -1,16 +1,17 @@
 //! End-to-end experiment runner reproducing the Mosaic paper's
 //! evaluation (§V).
 //!
-//! The crate wires every other crate together:
+//! The crate wires every other crate together. There are two ways in:
+//! [`Simulation`] runs experiments, and [`AllocationCore`] embeds the
+//! protocol in another driver (the `mosaic-node` service).
 //!
 //! * [`alloc_core`] — the incremental [`AllocationCore`]: training
 //!   ingestion, τ-boundary epoch processing, the migration protocol and
 //!   an always-queryable `shard_of` map behind one state machine, with
-//!   an event API (`begin`/`ingest_tx`/`end_stream`) for live feeds;
-//! * [`engine`] — the unified epoch pipeline: the [`EpochStrategy`]
-//!   trait every allocation mechanism implements, and
-//!   [`engine::run_with`], the crate's **single** epoch loop — a thin
-//!   driver over the core since the `mosaic-node` refactor;
+//!   the §V-A windowing rules in one plan that both its event API
+//!   (`begin`/`ingest_tx`/`end_stream`) and the offline driver walk;
+//! * [`engine`] — the [`EpochStrategy`] trait every allocation
+//!   mechanism implements, its adapters, and the incremental history;
 //! * [`Strategy`] — the five allocation strategies under test: Mosaic
 //!   (client-driven Pilot), G-TxAllo, A-TxAllo, Metis, and hash-based
 //!   Random — plus the registry ([`Strategy::build`]) resolving each to
@@ -24,23 +25,19 @@
 //!   observers, and round-trips through a text format so studies live
 //!   as checked-in `.scenario` files;
 //! * [`session`] — [`Simulation`], the runnable form of a scenario:
-//!   the trace is materialised **once**, shared across all grid cells
-//!   behind an `Arc`, and every cell streams through the engine with
-//!   the scenario's observer stack — the single entry point subsuming
-//!   the historical run/run_custom/run_streaming/grid scatter;
-//! * [`runner`] — the 90/10 train–eval protocol primitives the session
-//!   is built from: [`runner::run`] for one registry cell,
-//!   [`runner::run_custom`] for caller-supplied [`EpochStrategy`]
-//!   implementations, and [`runner::run_streaming`] for bounded-memory
-//!   single-cell runs (all kept byte-identical to the session paths);
-//! * [`parallel`] — order-stable parallel execution (re-exported from
-//!   `mosaic_metrics::parallel`), used at two levels: independent
-//!   experiment cells across the grid, and chunk/per-shard work items
-//!   *within* a cell ([`ExperimentConfig::cell_parallelism`]); the
-//!   same seed produces byte-identical results at every level;
+//!   the trace is materialised **once** (or streamed), shared across
+//!   all grid cells behind an `Arc`, and every cell runs through one
+//!   offline driver with the scenario's observer stack;
+//! * [`runner`] — the experiment cell ([`ExperimentConfig`]) and its
+//!   measured outcome ([`ExperimentResult`]);
 //! * [`experiments`] — one function per paper table/figure (Tables I–VI,
 //!   Figure 1), each returning a [`mosaic_metrics::TextTable`] shaped
-//!   like the original, computed on a parallel cell grid.
+//!   like the original, computed from a session's cells.
+//!
+//! Cells run in parallel on the order-stable pool of
+//! [`mosaic_metrics::parallel`], across the grid and within a cell
+//! ([`ExperimentConfig::cell_parallelism`]); the same seed produces
+//! byte-identical results at every level.
 //!
 //! # Example
 //!
@@ -60,7 +57,6 @@
 pub mod alloc_core;
 pub mod engine;
 pub mod experiments;
-pub mod parallel;
 pub mod radar;
 pub mod runner;
 pub mod scale;
@@ -70,7 +66,7 @@ pub mod strategy;
 
 pub use alloc_core::{AllocationCore, LoadReport, ShardLoad, TrainingFold};
 pub use engine::{EpochCtx, EpochDecision, EpochStrategy, MigrationCount, MosaicStrategy};
-pub use parallel::Parallelism;
+pub use mosaic_metrics::parallel::Parallelism;
 pub use runner::{ExperimentConfig, ExperimentResult};
 pub use scale::Scale;
 pub use scenario::{Capacity, GridAxis, ObserverSpec, RunTarget, Scenario};

@@ -6,20 +6,16 @@
 //! the allocation results computed at the end of the preceding epoch."
 //!
 //! The protocol itself — train/eval split, graph accretion, per-epoch
-//! allocation and metric collection — lives in [`crate::engine::run_with`],
-//! the crate's single epoch loop. This module defines the experiment
+//! allocation and metric collection — is walked by
+//! [`crate::AllocationCore`] and run through
+//! [`crate::session::Simulation`]. This module defines the experiment
 //! cell ([`ExperimentConfig`]) and its measured outcome
-//! ([`ExperimentResult`]); [`run`] resolves the configured [`Strategy`]
-//! through the registry and delegates.
+//! ([`ExperimentResult`]).
 
-use std::io;
-
-use mosaic_metrics::{Aggregate, EpochCsvWriter, EpochMetrics};
+use mosaic_metrics::parallel::Parallelism;
+use mosaic_metrics::{Aggregate, EpochMetrics};
 use mosaic_types::SystemParams;
-use mosaic_workload::{TraceSource, TransactionTrace};
 
-use crate::engine::{self, EpochStrategy, RunSummary};
-use crate::parallel::Parallelism;
 use crate::strategy::Strategy;
 
 /// Configuration of one experiment cell (one strategy × one parameter
@@ -120,8 +116,9 @@ impl ExperimentResult {
     /// ([`mosaic_metrics::report::EPOCH_CSV_HEADER`] + one row per
     /// epoch), ready for external plotting of the paper's time series.
     ///
-    /// Byte-identical to what [`run_streaming`] writes for the same
-    /// cell.
+    /// Byte-identical to what
+    /// [`Simulation::stream_cell`](crate::session::Simulation::stream_cell)
+    /// writes for the same cell.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(mosaic_metrics::report::EPOCH_CSV_HEADER);
         out.push('\n');
@@ -133,132 +130,20 @@ impl ExperimentResult {
     }
 }
 
-/// Runs one experiment cell over `trace`: resolves `config.strategy`
-/// through the registry ([`Strategy::build`]) and drives it through the
-/// unified epoch pipeline.
-///
-/// # Panics
-///
-/// Panics if the trace is empty or the configuration is inconsistent
-/// (mismatched shard counts cannot occur — the ledger is built from
-/// `config.params`).
-pub fn run(config: &ExperimentConfig, trace: &TransactionTrace) -> ExperimentResult {
-    let mut strategy = config.strategy.build(config.params);
-    engine::run_with(config, trace, strategy.as_mut())
-}
-
-/// Runs one experiment cell with a caller-supplied strategy — the entry
-/// point for mechanisms outside the [`Strategy`] registry (ablation
-/// policies, experimental allocators). `config.strategy` is still used
-/// to label the result.
-pub fn run_custom(
-    config: &ExperimentConfig,
-    trace: &TransactionTrace,
-    strategy: &mut dyn EpochStrategy,
-) -> ExperimentResult {
-    engine::run_with(config, trace, strategy)
-}
-
-/// Runs one experiment cell while **streaming** each per-epoch CSV row
-/// to `out` the moment it is computed, holding no per-epoch vector in
-/// memory — the entry point for the paper's `full` 200-epoch protocol
-/// (and anything longer) on bounded memory.
-///
-/// The bytes written are identical to [`ExperimentResult::to_csv`] for
-/// the same cell; the returned [`RunSummary`] aggregate is bit-identical
-/// to the collected run's.
-///
-/// # Errors
-///
-/// Propagates the sink's first I/O error; the run aborts at the failing
-/// epoch (a sink failure at epoch 1 of a 200-epoch protocol does not
-/// burn the remaining 199).
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn run_streaming(
-    config: &ExperimentConfig,
-    trace: &TransactionTrace,
-    out: &mut dyn io::Write,
-) -> io::Result<RunSummary> {
-    let mut strategy = config.strategy.build(config.params);
-    let mut writer = EpochCsvWriter::new(out)?;
-    let mut io_error: Option<io::Error> = None;
-    let summary = engine::run_with_observer(
-        config,
-        trace,
-        strategy.as_mut(),
-        &mut |_, metrics: &EpochMetrics| match writer.write_epoch(metrics) {
-            Ok(()) => true,
-            Err(e) => {
-                io_error = Some(e);
-                false
-            }
-        },
-    );
-    if let Some(e) = io_error {
-        return Err(e);
-    }
-    writer.finish()?;
-    Ok(summary)
-}
-
-/// [`run_streaming`] for a [`TraceSource`] consumed through a bounded
-/// window stream: neither the trace nor the per-epoch rows are ever
-/// resident, so memory is governed by the epoch window (τ blocks), not
-/// the trace length. Works for every source variant; byte-identical to
-/// [`run_streaming`] over the materialised trace of the same source.
-///
-/// # Errors
-///
-/// Returns [`mosaic_types::Error::Io`] / `ParseTrace` from opening or
-/// reading the source, [`mosaic_types::Error::EmptyTrace`] on a
-/// zero-block trace, and the sink's first I/O error (the run aborts at
-/// the failing epoch).
-pub fn run_streamed(
-    config: &ExperimentConfig,
-    source: &TraceSource,
-    out: &mut dyn io::Write,
-) -> mosaic_types::Result<RunSummary> {
-    let mut stream = source.window_stream()?;
-    let mut strategy = config.strategy.build(config.params);
-    let mut writer = EpochCsvWriter::new(out).map_err(|e| sink_error(&e))?;
-    let mut io_error: Option<io::Error> = None;
-    let summary = engine::run_streamed_with_observer(
-        config,
-        &mut stream,
-        strategy.as_mut(),
-        &mut |_, metrics: &EpochMetrics| match writer.write_epoch(metrics) {
-            Ok(()) => true,
-            Err(e) => {
-                io_error = Some(e);
-                false
-            }
-        },
-    )?;
-    if let Some(e) = io_error {
-        return Err(sink_error(&e));
-    }
-    writer.finish().map_err(|e| sink_error(&e))?;
-    Ok(summary)
-}
-
-fn sink_error(e: &io::Error) -> mosaic_types::Error {
-    mosaic_types::Error::Io {
-        path: "<stream sink>".to_string(),
-        message: e.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::io;
+    use std::sync::Arc;
+
     use super::*;
     use crate::scale::Scale;
-    use mosaic_workload::generate;
+    use crate::scenario::{CellSpec, Scenario};
+    use crate::session::Simulation;
+    use mosaic_types::Error;
+    use mosaic_workload::{generate, TraceSource, TransactionTrace};
 
-    fn quick_trace() -> TransactionTrace {
-        generate(&Scale::quick().workload).into_trace()
+    fn quick_trace() -> Arc<TransactionTrace> {
+        Arc::new(generate(&Scale::quick().workload).into_trace())
     }
 
     fn quick_config(strategy: Strategy, k: u16) -> ExperimentConfig {
@@ -270,6 +155,27 @@ mod tests {
             .build()
             .unwrap();
         ExperimentConfig::new(params, strategy, scale.eval_epochs)
+    }
+
+    /// A one-cell session running `config` over `trace`.
+    fn session(config: &ExperimentConfig, trace: &Arc<TransactionTrace>) -> (Simulation, CellSpec) {
+        let scenario = Scenario::new(
+            "runner-test",
+            TraceSource::Generated(Scale::quick().workload),
+            config.eval_epochs,
+        )
+        .with_base(config.params)
+        .with_strategies([config.strategy])
+        .with_cell_parallelism(config.cell_parallelism);
+        let sim = Simulation::with_trace(scenario, Arc::clone(trace)).unwrap();
+        let cell = sim.cells()[0].clone();
+        assert_eq!(cell.config, *config);
+        (sim, cell)
+    }
+
+    fn run(config: &ExperimentConfig, trace: &Arc<TransactionTrace>) -> ExperimentResult {
+        let (sim, _) = session(config, trace);
+        sim.run().unwrap().cells.remove(0).result
     }
 
     #[test]
@@ -385,8 +291,9 @@ mod tests {
         for strategy in Strategy::ALL {
             let config = quick_config(strategy, 4);
             let collected = run(&config, &trace);
+            let (sim, cell) = session(&config, &trace);
             let mut bytes: Vec<u8> = Vec::new();
-            let summary = run_streaming(&config, &trace, &mut bytes).unwrap();
+            let summary = sim.stream_cell(&cell, &mut bytes).unwrap();
             assert_eq!(
                 String::from_utf8(bytes).unwrap(),
                 collected.to_csv(),
@@ -420,13 +327,17 @@ mod tests {
 
         let trace = quick_trace();
         let config = quick_config(Strategy::Random, 4);
+        let (sim, cell) = session(&config, &trace);
         // Room for the header and roughly one row, then failure.
         let mut sink = FailingSink {
             written: 0,
             limit: mosaic_metrics::report::EPOCH_CSV_HEADER.len() + 40,
         };
-        let err = run_streaming(&config, &trace, &mut sink).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        let err = sim.stream_cell(&cell, &mut sink).unwrap_err();
+        assert!(
+            matches!(&err, Error::Io { message, .. } if message.contains("disk full")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -446,16 +357,5 @@ mod tests {
             );
             assert_eq!(sequential.total_migrations, parallel.total_migrations);
         }
-    }
-
-    #[test]
-    fn run_custom_matches_registry_run() {
-        let trace = quick_trace();
-        let config = quick_config(Strategy::ATxAllo, 4);
-        let registry = run(&config, &trace);
-        let mut strategy = config.strategy.build(config.params);
-        let custom = run_custom(&config, &trace, strategy.as_mut());
-        assert_eq!(registry.per_epoch, custom.per_epoch);
-        assert_eq!(registry.total_migrations, custom.total_migrations);
     }
 }

@@ -1,44 +1,57 @@
 //! Simulation sessions: one trace, many experiment cells.
 //!
-//! A [`Simulation`] is the runnable form of a [`Scenario`]:
-//! [`Simulation::from_scenario`] validates the spec and — for resident
-//! sources — materialises its trace **once** (generation or CSV load),
-//! holds it behind an [`Arc`], and [`Simulation::run`] drives every
-//! cell of the expanded grid over the order-stable worker pool — the
-//! single entry point that subsumes the historical `runner::run` /
-//! `run_custom` / `run_streaming` / `effectiveness_grid*` scatter.
+//! A [`Simulation`] is the runnable form of a [`Scenario`] and the one
+//! public way to run experiments: [`Simulation::from_scenario`]
+//! validates the spec and — for resident sources — materialises its
+//! trace **once** (generation or CSV load), holds it behind an [`Arc`],
+//! and [`Simulation::run`] drives every cell of the expanded grid over
+//! the order-stable worker pool. [`Simulation::run_with_factory`] takes
+//! caller-supplied strategies (ablation policies, experimental
+//! allocators), and [`Simulation::stream_cell`] streams one cell's CSV
+//! to any sink.
 //!
-//! Streamed sources (`TraceSource::Streamed*`) never materialise: each
-//! cell opens its own [`mosaic_workload::EpochWindowStream`] and the
-//! engine's streaming loop holds only the current and previous τ-block
-//! windows (plus the incremental history graph), so session memory is
-//! bounded by the window size, not the trace length. Output bytes are
-//! identical to the materialised path on the same source.
+//! Every cell runs through one private driver that walks the
+//! [`AllocationCore`]'s epoch plan. The trace kinds differ only in how
+//! a planned block range is fed:
+//!
+//! * a resident trace lends **borrowed slices**, which the core retains
+//!   (`ingest_training`, `commit_window_retained`), merging the
+//!   training CSR once, at the initial allocation;
+//! * a streamed source (`TraceSource::Streamed*`) never materialises:
+//!   each cell opens its own [`mosaic_workload::EpochWindowStream`] and
+//!   reads **owned buffers** the core absorbs (`ingest_training_chunk`,
+//!   `commit_window_owned`), so memory is bounded by the window size,
+//!   not the trace length.
+//!
+//! Output bytes are identical for both (enforced by
+//! `tests/scenario_equivalence.rs` against an independent reference
+//! loop, and by the scenario CI job).
 //!
 //! Sessions share traces: [`Simulation::with_trace`] builds a second
 //! session over the *same* `Arc` (no regeneration, no copy), which is
 //! how ablation studies run several strategy variants against one
-//! workload, and the first step toward sharing incremental `History`
-//! state across cells that replay the same trace.
+//! workload.
 //!
-//! Every cell runs through the engine's single epoch loop
-//! ([`crate::engine::run_with_observer`]), so a scenario run is
-//! byte-identical to the legacy entry points on the same seed —
-//! enforced by `tests/scenario_equivalence.rs` and the scenario CI job.
+//! A `telemetry=jsonl:<path>` observer gives the session its own
+//! recorder; each cell's core reports through a cell-scoped clone of it.
+//! Nothing is installed process-wide.
 
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use mosaic_metrics::parallel::ordered_map;
 use mosaic_metrics::{EpochCsvWriter, EpochMetrics};
 use mosaic_telemetry::{json_f64, Recorder};
-use mosaic_types::{Error, Result};
-use mosaic_workload::TransactionTrace;
+use mosaic_types::{BlockHeight, Error, Result, Transaction};
+use mosaic_workload::{EpochWindowStream, TransactionTrace};
 
-use crate::engine::{self, EpochStrategy, RunSummary};
-use crate::parallel::ordered_map;
-use crate::runner::ExperimentResult;
+use crate::alloc_core::{
+    skips_training_graph, AllocationCore, EpochPlan, Step, StepKind, TrainingFold,
+};
+use crate::engine::{EpochStrategy, RunSummary};
+use crate::runner::{ExperimentConfig, ExperimentResult};
 use crate::scenario::{CellSpec, ObserverSpec, Scenario};
 use crate::strategy::Strategy;
 
@@ -93,8 +106,7 @@ impl SimulationReport {
 pub trait RunObserver: Sync {
     /// Called for each evaluation epoch of each cell the moment its
     /// metric row is computed. Returning `false` aborts that cell after
-    /// the current epoch (mirroring
-    /// [`crate::engine::run_with_observer`]).
+    /// the current epoch; its row is already in the cell's summary.
     fn on_epoch(&self, cell: &CellSpec, epoch: usize, metrics: &EpochMetrics) -> bool {
         let _ = (cell, epoch, metrics);
         true
@@ -132,6 +144,9 @@ pub struct Simulation {
     trace: TraceHandle,
     cells: Vec<CellSpec>,
     observers: Vec<Box<dyn RunObserver>>,
+    /// The recorder of the scenario's `telemetry=jsonl:` observer
+    /// (disabled without one); cores get cell-scoped clones.
+    telemetry: Recorder,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -165,13 +180,7 @@ impl Simulation {
         // multi-minute trace generation first.
         scenario.validate()?;
         if scenario.trace.is_streamed() {
-            let cells = scenario.cells()?;
-            return Ok(Simulation {
-                scenario,
-                trace: TraceHandle::Streamed,
-                cells,
-                observers: Vec::new(),
-            });
+            return Simulation::build(scenario, TraceHandle::Streamed);
         }
         let trace = Arc::new(scenario.trace.materialize()?);
         Simulation::with_trace(scenario, trace)
@@ -206,12 +215,20 @@ impl Simulation {
         if trace.is_empty() {
             return Err(Error::EmptyTrace);
         }
+        Simulation::build(scenario, TraceHandle::Materialized(trace))
+    }
+
+    /// Expands the cells and opens the telemetry observer's sink, if
+    /// the scenario has one.
+    fn build(scenario: Scenario, trace: TraceHandle) -> Result<Self> {
         let cells = scenario.cells()?;
+        let telemetry = open_telemetry(&scenario)?;
         Ok(Simulation {
             scenario,
-            trace: TraceHandle::Materialized(trace),
+            trace,
             cells,
             observers: Vec::new(),
+            telemetry,
         })
     }
 
@@ -284,17 +301,14 @@ impl Simulation {
                 fs::create_dir_all(dir).map_err(|e| io_error(dir.display(), &e))?;
             }
         }
-        let telemetry = self.install_telemetry()?;
         let outcomes = ordered_map(&self.cells, self.scenario.grid_parallelism, |cell| {
             let mut strategy = factory(cell);
             self.run_cell(cell, strategy.as_mut())
         });
-        if let Some(recorder) = telemetry {
-            // Close the event stream with the final metric snapshot and
-            // hand the process-wide default back to the no-op recorder.
-            recorder.export_snapshot();
-            recorder.flush();
-            mosaic_telemetry::install_global(Recorder::disabled());
+        if self.telemetry.is_enabled() {
+            // Close the run's event stream with the metric snapshot.
+            self.telemetry.export_snapshot();
+            self.telemetry.flush();
         }
         let mut cells = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
@@ -303,55 +317,60 @@ impl Simulation {
         Ok(SimulationReport { cells })
     }
 
-    /// Installs the process-wide telemetry recorder for a
-    /// `telemetry=jsonl:<path>` observer, if the scenario carries one.
-    /// Worker pools capture the recorder when they spawn, so the
-    /// calling thread's persistent pools are reset here; cores capture
-    /// it at construction inside the engine loops.
-    fn install_telemetry(&self) -> Result<Option<Recorder>> {
-        let Some(path) = self.scenario.observers.iter().find_map(|o| match o {
-            ObserverSpec::Telemetry(path) => Some(path),
-            _ => None,
-        }) else {
-            return Ok(None);
-        };
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent).map_err(|e| io_error(parent.display(), &e))?;
-            }
-        }
-        let file = fs::File::create(path).map_err(|e| io_error(path.display(), &e))?;
-        let recorder = Recorder::with_sink(Box::new(io::BufWriter::new(file)));
-        mosaic_telemetry::install_global(recorder.clone());
-        crate::parallel::thread_pool_reset();
-        Ok(Some(recorder))
-    }
-
     /// Streams one cell's per-epoch CSV rows to `out`, byte-identical
-    /// to what the `stream-csv` observer writes for the same cell (and
-    /// to the legacy `runner::run_streaming`). The cell's
-    /// [`crate::runner::ExperimentConfig`] — including
-    /// `cell_parallelism` overrides — is honoured as given, which is
-    /// what the determinism gate uses to byte-compare worker counts.
+    /// to what the `stream-csv` observer writes for the same cell. The
+    /// cell's [`ExperimentConfig`] — including `cell_parallelism`
+    /// overrides — is honoured as given, which is what the determinism
+    /// gate uses to byte-compare worker counts. The cell reports to the
+    /// session's telemetry recorder, if it has one; the custom observer
+    /// stack is not called.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] on the sink's first failure, plus trace
-    /// open/parse errors for streamed sources.
+    /// Returns [`Error::Io`] on the sink's first failure (the run stops
+    /// at the failing epoch), plus trace open/parse errors for streamed
+    /// sources.
     pub fn stream_cell(&self, cell: &CellSpec, out: &mut dyn io::Write) -> Result<RunSummary> {
+        let sink = "<stream sink>";
+        let mut writer = EpochCsvWriter::new(out).map_err(|e| io_error(sink, &e))?;
+        let mut failure = None;
+        let mut strategy = cell.config.strategy.build(cell.config.params);
+        let summary = self.drive_cell(cell, strategy.as_mut(), &mut |_, metrics| {
+            failure = writer.write_epoch(metrics).err();
+            failure.is_none()
+        })?;
+        if let Some(e) = failure {
+            return Err(io_error(sink, &e));
+        }
+        writer.finish().map_err(|e| io_error(sink, &e))?;
+        Ok(summary)
+    }
+
+    /// Runs `cell` through the epoch plan over the session's trace,
+    /// handing each metric row to `on_epoch` (which returns whether to
+    /// continue).
+    fn drive_cell(
+        &self,
+        cell: &CellSpec,
+        strategy: &mut dyn EpochStrategy,
+        on_epoch: &mut dyn FnMut(usize, &EpochMetrics) -> bool,
+    ) -> Result<RunSummary> {
+        let recorder = self
+            .telemetry
+            .scoped(&cell.file_stem(self.scenario.is_single_point()));
         match &self.trace {
             TraceHandle::Materialized(trace) => {
-                crate::runner::run_streaming(&cell.config, trace, out)
-                    .map_err(|e| io_error("<stream sink>", &e))
+                drive(&cell.config, Resident(trace), strategy, recorder, on_epoch)
             }
             TraceHandle::Streamed => {
-                crate::runner::run_streamed(&cell.config, &self.scenario.trace, out)
+                let stream = self.scenario.trace.window_stream()?;
+                drive(&cell.config, Owned(stream), strategy, recorder, on_epoch)
             }
         }
     }
 
-    /// Runs one cell through the engine, fanning each metric row to the
-    /// whole observer stack in a single pass.
+    /// Runs one cell through the offline driver, fanning each metric
+    /// row to the whole observer stack in a single pass.
     fn run_cell(&self, cell: &CellSpec, strategy: &mut dyn EpochStrategy) -> Result<GridCell> {
         let collect = self.scenario.observers.contains(&ObserverSpec::Collect);
         let single_point = self.scenario.is_single_point();
@@ -370,8 +389,8 @@ impl Simulation {
         let mut io_failure: Option<Error> = None;
         // Scoped per cell so concurrent cells' epoch events stay
         // distinguishable in the shared JSONL stream (disabled — one
-        // branch per epoch — unless a telemetry observer is installed).
-        let recorder = mosaic_telemetry::global().scoped(&cell.file_stem(single_point));
+        // branch per epoch — without a telemetry observer).
+        let recorder = self.telemetry.scoped(&cell.file_stem(single_point));
         let mut on_epoch = |epoch: usize, metrics: &EpochMetrics| {
             if collect {
                 per_epoch.push(*metrics);
@@ -396,22 +415,9 @@ impl Simulation {
                 .iter()
                 .all(|obs| obs.on_epoch(cell, epoch, metrics))
         };
-        let summary = match &self.trace {
-            TraceHandle::Materialized(trace) => {
-                engine::run_with_observer(&cell.config, trace, strategy, &mut on_epoch)
-            }
-            TraceHandle::Streamed => {
-                // Scenario validation already rejected streamed + collect,
-                // so `per_epoch` stays empty and memory stays bounded.
-                let mut stream = self.scenario.trace.window_stream()?;
-                engine::run_streamed_with_observer(
-                    &cell.config,
-                    &mut stream,
-                    strategy,
-                    &mut on_epoch,
-                )?
-            }
-        };
+        // Scenario validation rejects streamed + collect, so for a
+        // streamed source `per_epoch` stays empty and memory bounded.
+        let summary = self.drive_cell(cell, strategy, &mut on_epoch)?;
         if let Some(e) = io_failure {
             return Err(e);
         }
@@ -444,12 +450,172 @@ fn io_error(path: impl std::fmt::Display, e: &dyn std::fmt::Display) -> Error {
     }
 }
 
+/// The recorder of `scenario`'s `telemetry=jsonl:<path>` observer,
+/// writing to a freshly created `<path>`, or a disabled one.
+fn open_telemetry(scenario: &Scenario) -> Result<Recorder> {
+    let Some(path) = scenario.observers.iter().find_map(|o| match o {
+        ObserverSpec::Telemetry(path) => Some(path),
+        _ => None,
+    }) else {
+        return Ok(Recorder::disabled());
+    };
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            fs::create_dir_all(parent).map_err(|e| io_error(parent.display(), &e))?;
+        }
+    }
+    let file = fs::File::create(path).map_err(|e| io_error(path.display(), &e))?;
+    Ok(Recorder::with_sink(Box::new(io::BufWriter::new(file))))
+}
+
+/// How the offline driver reads the plan's block ranges: the one thing
+/// the two trace kinds do differently.
+trait Feed<'t> {
+    /// A range's transactions.
+    type Range: std::ops::Deref<Target = [Transaction]> + Default;
+
+    /// Total block span of the trace.
+    fn blocks(&self) -> u64;
+
+    /// Reads `step`'s range, reusing `spare`'s storage if it owns any.
+    fn read(&mut self, step: Step, spare: Self::Range) -> Result<Self::Range>;
+
+    /// Folds a training range into the core.
+    fn train(
+        core: &mut AllocationCore<'t>,
+        strategy: &mut dyn EpochStrategy,
+        range: &Self::Range,
+        fold: TrainingFold,
+    );
+
+    /// Commits a processed evaluation window.
+    fn commit(
+        core: &mut AllocationCore<'t>,
+        strategy: &mut dyn EpochStrategy,
+        window: &Self::Range,
+    );
+}
+
+/// A resident trace: ranges are borrowed slices the core retains, so
+/// the training graph is merged once, at the initial allocation.
+struct Resident<'t>(&'t TransactionTrace);
+
+impl<'t> Feed<'t> for Resident<'t> {
+    type Range = &'t [Transaction];
+
+    fn blocks(&self) -> u64 {
+        self.0.max_block().map_or(0, |b| b.as_u64() + 1)
+    }
+
+    fn read(&mut self, step: Step, _spare: Self::Range) -> Result<Self::Range> {
+        Ok(self
+            .0
+            .block_range(BlockHeight::new(step.start), BlockHeight::new(step.end)))
+    }
+
+    fn train(
+        core: &mut AllocationCore<'t>,
+        strategy: &mut dyn EpochStrategy,
+        range: &Self::Range,
+        fold: TrainingFold,
+    ) {
+        match fold {
+            TrainingFold::Skip => core.ingest_training_chunk(strategy, range, fold),
+            TrainingFold::Merge | TrainingFold::Defer => core.ingest_training(strategy, range),
+        }
+    }
+
+    fn commit(
+        core: &mut AllocationCore<'t>,
+        strategy: &mut dyn EpochStrategy,
+        window: &Self::Range,
+    ) {
+        core.commit_window_retained(strategy, window);
+    }
+}
+
+/// A window stream: ranges are owned buffers the core absorbs, so
+/// memory is bounded by the window, not the trace.
+struct Owned(EpochWindowStream);
+
+impl<'t> Feed<'t> for Owned {
+    type Range = Vec<Transaction>;
+
+    fn blocks(&self) -> u64 {
+        self.0.blocks()
+    }
+
+    fn read(&mut self, step: Step, mut spare: Self::Range) -> Result<Self::Range> {
+        spare.clear();
+        self.0.read_to(step.end, &mut spare)?;
+        Ok(spare)
+    }
+
+    fn train(
+        core: &mut AllocationCore<'t>,
+        strategy: &mut dyn EpochStrategy,
+        range: &Self::Range,
+        fold: TrainingFold,
+    ) {
+        core.ingest_training_chunk(strategy, range, fold);
+    }
+
+    fn commit(
+        core: &mut AllocationCore<'t>,
+        strategy: &mut dyn EpochStrategy,
+        window: &Self::Range,
+    ) {
+        core.commit_window_owned(strategy, window);
+    }
+}
+
+/// The offline driver: walks `config`'s epoch plan over `feed`. Each
+/// evaluation row goes to `on_epoch(epoch, row)`; returning `false`
+/// stops the run after that epoch (its row is already in the summary).
+fn drive<'t, F: Feed<'t>>(
+    config: &ExperimentConfig,
+    mut feed: F,
+    strategy: &mut dyn EpochStrategy,
+    recorder: Recorder,
+    on_epoch: &mut dyn FnMut(usize, &EpochMetrics) -> bool,
+) -> Result<RunSummary> {
+    let plan = EpochPlan::new(config, feed.blocks())?;
+    let mut core = AllocationCore::new(*config);
+    core.set_recorder(recorder);
+    let skip_graph = skips_training_graph(strategy);
+    let mut recent = F::Range::default();
+    let mut window = F::Range::default();
+    for step in plan.steps() {
+        match step.kind {
+            StepKind::Train | StepKind::Recent => {
+                recent = feed.read(step, std::mem::take(&mut recent))?;
+                F::train(&mut core, strategy, &recent, step.fold(skip_graph));
+                if step.kind == StepKind::Recent {
+                    core.finish_training(strategy)?;
+                    core.release_history_if_unused(strategy);
+                }
+            }
+            StepKind::Eval(epoch) => {
+                window = feed.read(step, std::mem::take(&mut window))?;
+                let metrics = core.process_epoch(strategy, &window, &recent);
+                if !on_epoch(epoch, &metrics) {
+                    break;
+                }
+                F::commit(&mut core, strategy, &window);
+                // The processed window is the next epoch's recent window.
+                std::mem::swap(&mut recent, &mut window);
+            }
+        }
+    }
+    Ok(core.summary())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Parallelism;
     use crate::scale::Scale;
     use crate::scenario::GridAxis;
+    use crate::Parallelism;
     use mosaic_workload::TraceSource;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -643,8 +809,6 @@ mod tests {
         ]);
         let sim = Simulation::from_scenario(on).unwrap();
         sim.run().unwrap();
-        // The run hands the global back to the no-op recorder.
-        assert!(!mosaic_telemetry::global().is_enabled());
 
         // Result CSVs are byte-identical with telemetry on vs off.
         for cell in sim.cells() {
@@ -668,7 +832,9 @@ mod tests {
         }
         assert!(events.contains("\"kind\":\"span\""));
         assert!(events.contains("\"kind\":\"epoch\""));
-        assert!(events.contains("\"name\":\"core.epochs_processed\""));
+        // Each cell's core counts under the cell's scope.
+        assert!(events.contains("\"name\":\"pilot.core.epochs_processed\""));
+        assert!(events.contains("\"name\":\"random.core.epochs_processed\""));
         fs::remove_dir_all(&base).ok();
     }
 

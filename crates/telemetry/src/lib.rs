@@ -32,10 +32,11 @@
 //! println!("{}", snapshot.prometheus());
 //! ```
 //!
-//! Process-wide wiring goes through [`install_global`] / [`global`]:
-//! the simulation installs an enabled recorder before worker pools
-//! spawn, and every `AllocationCore` captures the global at
-//! construction (or is handed a session-scoped clone by the node).
+//! There is no process-wide recorder: a recorder is handed explicitly
+//! to what it observes (`AllocationCore::set_recorder`,
+//! `WorkerPool::with_recorder`, a simulation's `telemetry=jsonl:`
+//! observer, a node's per-session registry), so two runs or two
+//! servers in one process never count into each other.
 
 #![deny(missing_docs)]
 
@@ -43,47 +44,6 @@ mod export;
 mod recorder;
 mod stats;
 
-use std::sync::{Mutex, OnceLock};
-
 pub use export::{json_f64, HistogramSnapshot, Snapshot};
 pub use recorder::{Counter, Gauge, Histogram, Recorder, Span};
 pub use stats::{DurationHistogram, DurationStats, BUCKETS, BUCKET_BOUNDS_NS};
-
-/// The process-wide recorder, disabled until [`install_global`] runs.
-static GLOBAL: OnceLock<Mutex<Recorder>> = OnceLock::new();
-
-fn global_cell() -> &'static Mutex<Recorder> {
-    GLOBAL.get_or_init(|| Mutex::new(Recorder::disabled()))
-}
-
-/// Makes `recorder` the process-wide default returned by [`global`].
-/// Call before spawning worker pools so their lanes capture the right
-/// handle; cores constructed afterwards pick it up automatically.
-pub fn install_global(recorder: Recorder) {
-    *global_cell().lock().unwrap() = recorder;
-}
-
-/// A clone of the process-wide recorder ([`Recorder::disabled`] until
-/// [`install_global`] is called).
-pub fn global() -> Recorder {
-    global_cell().lock().unwrap().clone()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_defaults_to_disabled_and_install_replaces_it() {
-        // Runs in one process with other tests; only assert the
-        // install/propagate contract, not the initial state.
-        let enabled = Recorder::enabled();
-        install_global(enabled.clone());
-        let got = global();
-        assert!(got.is_enabled());
-        got.counter("g").incr();
-        assert_eq!(enabled.counter("g").value(), 1);
-        install_global(Recorder::disabled());
-        assert!(!global().is_enabled());
-    }
-}

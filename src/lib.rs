@@ -70,7 +70,7 @@
 //! parameter grid, the strategy set, both parallelism levels and the
 //! observer stack; the session materialises the trace **once**, shares
 //! it across every grid cell behind an `Arc`, and runs the independent
-//! cells on an order-stable worker pool ([`sim::parallel`]). Results
+//! cells on an order-stable worker pool ([`metrics::parallel`]). Results
 //! are deterministic and identical at every parallelism level.
 //!
 //! ```

@@ -1,8 +1,29 @@
 //! Cross-crate integration tests: the full pipeline (workload → initial
 //! allocation → Mosaic epochs → metrics) with system-level invariants.
 
+use std::sync::Arc;
+
 use mosaic::prelude::*;
 use mosaic::sim::{runner, Scale};
+use mosaic::workload::TraceSource;
+
+/// Runs `config` over `trace` as a one-cell [`Simulation`].
+fn run(config: &ExperimentConfig, trace: TransactionTrace) -> ExperimentResult {
+    let scenario = Scenario::new(
+        "end-to-end",
+        TraceSource::Generated(Scale::quick().workload),
+        config.eval_epochs,
+    )
+    .with_base(config.params)
+    .with_strategies([config.strategy]);
+    Simulation::with_trace(scenario, Arc::new(trace))
+        .unwrap()
+        .run()
+        .unwrap()
+        .cells
+        .remove(0)
+        .result
+}
 
 /// Runs the Mosaic strategy on the quick scale and returns everything
 /// needed for invariant checks.
@@ -69,7 +90,7 @@ fn committed_migrations_never_exceed_lambda() {
         .build()
         .unwrap();
     let config = runner::ExperimentConfig::new(params, Strategy::Mosaic, scale.eval_epochs);
-    let result = runner::run(&config, &trace);
+    let result = run(&config, trace);
     for epoch in &result.per_epoch {
         let lambda = epoch.total_txs as f64 / 4.0;
         assert!(
@@ -116,7 +137,7 @@ fn mosaic_converges_not_thrashes() {
         .build()
         .unwrap();
     let config = runner::ExperimentConfig::new(params, Strategy::Mosaic, scale.eval_epochs);
-    let result = runner::run(&config, &trace);
+    let result = run(&config, trace);
     let first = result.per_epoch.first().unwrap().cross_ratio;
     let last = result.per_epoch.last().unwrap().cross_ratio;
     assert!(
@@ -140,7 +161,7 @@ fn csv_roundtrip_preserves_experiment_results() {
         .build()
         .unwrap();
     let config = runner::ExperimentConfig::new(params, Strategy::Random, 3);
-    let a = runner::run(&config, &trace);
-    let b = runner::run(&config, &reloaded);
+    let a = run(&config, trace);
+    let b = run(&config, reloaded);
     assert_eq!(a.per_epoch, b.per_epoch);
 }

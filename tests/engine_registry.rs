@@ -3,9 +3,43 @@
 //! parallel experiment grid must be indistinguishable from a sequential
 //! run of the same seed.
 
+use std::sync::Arc;
+
 use mosaic::prelude::*;
 use mosaic::sim::engine::History;
 use mosaic::sim::{experiments, Parallelism, Scale};
+use mosaic::workload::TraceSource;
+
+/// A one-cell session running `config` over `trace`.
+fn session(config: &ExperimentConfig, trace: &Arc<TransactionTrace>) -> Simulation {
+    let scenario = Scenario::new(
+        "registry",
+        TraceSource::Generated(Scale::quick().workload),
+        config.eval_epochs,
+    )
+    .with_base(config.params)
+    .with_strategies([config.strategy])
+    .with_cell_parallelism(config.cell_parallelism);
+    Simulation::with_trace(scenario, Arc::clone(trace)).unwrap()
+}
+
+fn run(config: &ExperimentConfig, trace: &Arc<TransactionTrace>) -> ExperimentResult {
+    session(config, trace).run().unwrap().cells.remove(0).result
+}
+
+fn quick_trace() -> Arc<TransactionTrace> {
+    Arc::new(generate(&Scale::quick().workload).into_trace())
+}
+
+/// The quick effectiveness grid at `parallelism` across cells.
+fn grid(parallelism: Parallelism) -> Vec<experiments::GridCell> {
+    let scenario = Scenario::effectiveness(&Scale::quick()).with_grid_parallelism(parallelism);
+    Simulation::from_scenario(scenario)
+        .unwrap()
+        .run()
+        .unwrap()
+        .cells
+}
 
 #[test]
 fn every_registry_strategy_yields_valid_shards_for_all_accounts() {
@@ -44,7 +78,7 @@ fn every_registry_strategy_yields_valid_shards_for_all_accounts() {
 #[test]
 fn full_runs_stay_within_shard_bounds_for_every_strategy() {
     let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
+    let trace = quick_trace();
     let params = SystemParams::builder()
         .shards(4)
         .eta(2.0)
@@ -53,7 +87,7 @@ fn full_runs_stay_within_shard_bounds_for_every_strategy() {
         .unwrap();
     for strategy in Strategy::ALL {
         let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
-        let result = mosaic::sim::runner::run(&config, &trace);
+        let result = run(&config, &trace);
         assert_eq!(result.strategy, strategy);
         assert_eq!(result.per_epoch.len(), scale.eval_epochs);
         for epoch in &result.per_epoch {
@@ -70,7 +104,7 @@ fn within_cell_parallel_epochs_are_byte_identical_to_sequential() {
     // series, aggregates and migration totals are byte-identical to a
     // sequential run of the same cell.
     let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
+    let trace = quick_trace();
     let params = SystemParams::builder()
         .shards(4)
         .eta(2.0)
@@ -79,10 +113,9 @@ fn within_cell_parallel_epochs_are_byte_identical_to_sequential() {
         .unwrap();
     for strategy in Strategy::ALL {
         let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
-        let sequential = mosaic::sim::runner::run(&config, &trace);
+        let sequential = run(&config, &trace);
         for parallelism in [Parallelism::Auto, Parallelism::Threads(3)] {
-            let parallel =
-                mosaic::sim::runner::run(&config.with_cell_parallelism(parallelism), &trace);
+            let parallel = run(&config.with_cell_parallelism(parallelism), &trace);
             assert_eq!(
                 sequential.to_csv(),
                 parallel.to_csv(),
@@ -103,7 +136,7 @@ fn streamed_cell_matches_collected_cell() {
     // must write exactly the bytes `ExperimentResult::to_csv` produces
     // and report a bit-identical aggregate.
     let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
+    let trace = quick_trace();
     let params = SystemParams::builder()
         .shards(4)
         .eta(2.0)
@@ -112,9 +145,10 @@ fn streamed_cell_matches_collected_cell() {
         .unwrap();
     for strategy in Strategy::ALL {
         let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
-        let collected = mosaic::sim::runner::run(&config, &trace);
+        let collected = run(&config, &trace);
         let mut bytes: Vec<u8> = Vec::new();
-        let summary = mosaic::sim::runner::run_streaming(&config, &trace, &mut bytes).unwrap();
+        let sim = session(&config, &trace);
+        let summary = sim.stream_cell(&sim.cells()[0], &mut bytes).unwrap();
         assert_eq!(
             String::from_utf8(bytes).unwrap(),
             collected.to_csv(),
@@ -126,9 +160,8 @@ fn streamed_cell_matches_collected_cell() {
 
 #[test]
 fn parallel_grid_output_is_byte_identical_to_sequential() {
-    let scale = Scale::quick();
-    let sequential = experiments::effectiveness_grid_with(&scale, Parallelism::Sequential);
-    let parallel = experiments::effectiveness_grid_with(&scale, Parallelism::Auto);
+    let sequential = grid(Parallelism::Sequential);
+    let parallel = grid(Parallelism::Auto);
 
     let csv = |cells: &[experiments::GridCell]| -> String {
         cells
