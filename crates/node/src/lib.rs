@@ -14,8 +14,8 @@
 //! `nc`-friendly line form, byte-compatible with earlier releases, or
 //! length-prefixed binary frames with batched `TX` blocks and a
 //! version-negotiating hello. The server is multi-session: every
-//! connection negotiates its codec from its first bytes and gets a
-//! private session on a dedicated core thread, so N clients replay N
+//! connection negotiates its codec from its first bytes and runs on one
+//! thread with its private session inline, so N clients replay N
 //! scenarios concurrently in full isolation.
 //!
 //! * [`proto`] — the typed protocol core and its line rendering:
@@ -28,8 +28,7 @@
 //!   over one core;
 //! * [`stats`] — [`ServerStats`], the per-session telemetry recorders
 //!   and the server-wide aggregate behind `STATS`;
-//! * [`server`] — [`serve`]: thread-per-connection front end, one
-//!   session core thread per connection behind a bounded queue
+//! * [`server`] — [`serve`]: one thread per connection, session inline
 //!   (per-shard work parallelises inside the ledger's worker pool);
 //! * [`client`] — [`MosaicClient`], the typed, codec-generic client
 //!   library;

@@ -8,11 +8,10 @@
 //! [`mosaic_metrics::EpochCsvWriter`] would write it, which is what
 //! makes the `CSV` reply byte-identical to the offline runner's files.
 //!
-//! The session is single-threaded by design: the server gives every
-//! connection its own session on a dedicated core thread (per-shard
-//! parallelism lives *inside* the ledger's worker pool), so ordering is
-//! the arrival order on that connection's channel and no locking is
-//! needed here.
+//! The session is single-threaded by design: the server runs one
+//! thread per connection with its session inline (per-shard parallelism
+//! lives *inside* the ledger's worker pool), so ordering is the arrival
+//! order on that connection and no locking is needed here.
 
 use std::sync::Arc;
 
@@ -63,25 +62,27 @@ impl NodeSession {
     ///
     /// Propagates [`Scenario::cells`] validation errors.
     pub fn new(scenario: Scenario) -> Result<Self> {
-        Self::with_stats(scenario, 0, &ServerStats::new(true))
+        Self::with_stats(scenario, &ServerStats::new(true))
     }
 
-    /// Builds session `id` registered against `stats` — the server's
-    /// constructor. The session registers itself here and deregisters
-    /// (folding its counters into the server aggregate) on drop.
+    /// Builds a session registered against `stats` — the server's
+    /// constructor. The session registers itself here (taking the next
+    /// session id) and deregisters (folding its counters into the
+    /// server aggregate) on drop.
     ///
     /// # Errors
     ///
     /// Propagates [`Scenario::cells`] validation errors.
-    pub fn with_stats(scenario: Scenario, id: u64, stats: &Arc<ServerStats>) -> Result<Self> {
+    pub fn with_stats(scenario: Scenario, stats: &Arc<ServerStats>) -> Result<Self> {
         let cells = scenario.cells_for(RunTarget::Node)?;
+        let (id, recorder) = stats.register();
         Ok(NodeSession {
             cells,
             active: None,
             deferred: None,
             rows: Vec::new(),
             id,
-            recorder: stats.register(id),
+            recorder,
             server: Arc::clone(stats),
         })
     }
@@ -89,23 +90,6 @@ impl NodeSession {
     /// The expanded cell list clients address by `BEGIN <cell>` index.
     pub fn cells(&self) -> &[CellSpec] {
         &self.cells
-    }
-
-    /// Parses and applies one request line. `None` means the line gets
-    /// no reply (`TX`, including malformed `TX` lines — their parse
-    /// error is deferred to `END` like any other ingestion error).
-    pub fn apply_line(&mut self, line: &str) -> Option<Response> {
-        match Request::parse(line) {
-            Ok(request) => self.apply(request),
-            Err(message) => {
-                if Request::line_expects_reply(line) {
-                    Some(Response::Error(message))
-                } else {
-                    self.defer(message);
-                    None
-                }
-            }
-        }
     }
 
     /// Applies one parsed request. `None` exactly when
@@ -264,10 +248,20 @@ fn load_lines(report: &LoadReport) -> Vec<String> {
 mod tests {
     use super::*;
     use mosaic_sim::{Scale, Scenario};
-    use mosaic_types::AccountId;
+    use mosaic_types::{AccountId, BlockHeight, TxId};
 
     fn session() -> NodeSession {
         NodeSession::new(Scenario::full_protocol(&Scale::quick())).unwrap()
+    }
+
+    /// The transaction of the line `TX <id> 0 1 2 transfer`.
+    fn tx(id: u64) -> Transaction {
+        Transaction::new(
+            TxId::new(id),
+            AccountId::new(1),
+            AccountId::new(2),
+            BlockHeight::new(0),
+        )
     }
 
     #[test]
@@ -294,7 +288,7 @@ mod tests {
     #[test]
     fn tx_before_begin_defers_the_error_to_end() {
         let mut s = session();
-        assert!(s.apply_line("TX 0 0 1 2 transfer").is_none());
+        assert!(s.apply(Request::Tx(tx(0))).is_none());
         let Some(Response::Error(message)) = s.apply(Request::End) else {
             panic!("END after a bad TX must fail");
         };
@@ -328,7 +322,7 @@ mod tests {
             Some(Response::Ok(_))
         ));
         for i in 0..5 {
-            assert!(s.apply_line(&format!("TX {i} 0 1 2 transfer")).is_none());
+            assert!(s.apply(Request::Tx(tx(i))).is_none());
         }
         let Some(Response::Stats(lines)) = s.apply(Request::Stats) else {
             panic!("STATS must answer mid-stream");

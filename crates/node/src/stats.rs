@@ -41,19 +41,20 @@ impl ServerStats {
         self.enabled
     }
 
-    /// Registers session `id` and returns its private recorder.
-    pub fn register(&self, id: u64) -> Recorder {
+    /// Registers a new session: returns its id (the count of sessions
+    /// started before it) and its private recorder.
+    pub fn register(&self) -> (u64, Recorder) {
         let recorder = if self.enabled {
             Recorder::enabled()
         } else {
             Recorder::disabled()
         };
-        self.sessions_started.fetch_add(1, Ordering::Relaxed);
+        let id = self.sessions_started.fetch_add(1, Ordering::Relaxed);
         self.active
             .lock()
             .expect("stats lock")
             .push((id, recorder.clone()));
-        recorder
+        (id, recorder)
     }
 
     /// Deregisters session `id`, folding its final counters into the
@@ -136,22 +137,23 @@ mod tests {
     #[test]
     fn aggregate_survives_session_lifecycle() {
         let stats = ServerStats::new(true);
-        let a = stats.register(0);
-        let b = stats.register(1);
+        let (id_a, a) = stats.register();
+        let (id_b, b) = stats.register();
+        assert_eq!((id_a, id_b), (0, 1));
         a.add("core.txs_ingested", 100);
         b.add("core.txs_ingested", 50);
         assert_eq!(stats.sessions_started(), 2);
         assert_eq!(stats.sessions_active(), 2);
 
         // A live session sees its own counters and the merged total.
-        let lines = stats.stats_lines(Some((0, &a)));
+        let lines = stats.stats_lines(Some((id_a, &a)));
         assert!(lines.contains(&"telemetry on".to_string()), "{lines:?}");
         assert!(lines.contains(&"session 0".to_string()));
         assert!(lines.contains(&"counter core.txs_ingested 100".to_string()));
         assert!(lines.contains(&"server counter core.txs_ingested 150".to_string()));
 
         // A finished session's counters persist in the aggregate.
-        stats.unregister(0);
+        stats.unregister(id_a);
         assert_eq!(stats.sessions_active(), 1);
         let lines = stats.stats_lines(None);
         assert!(lines.contains(&"server sessions_started 2".to_string()));
@@ -162,11 +164,11 @@ mod tests {
     #[test]
     fn disabled_stats_still_answer() {
         let stats = ServerStats::new(false);
-        let r = stats.register(7);
+        let (id, r) = stats.register();
         r.add("core.txs_ingested", 9); // dropped: recorder is a no-op
-        let lines = stats.stats_lines(Some((7, &r)));
+        let lines = stats.stats_lines(Some((id, &r)));
         assert_eq!(lines[0], "telemetry off");
-        assert!(lines.contains(&"session 7".to_string()));
+        assert!(lines.contains(&format!("session {id}")));
         assert!(!lines.iter().any(|l| l.contains("core.txs_ingested")));
     }
 }

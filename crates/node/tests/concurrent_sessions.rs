@@ -6,8 +6,9 @@
 //! isolation semantics at the protocol level: one connection's active
 //! run is invisible to another connection.
 
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use mosaic_node::replay::{replay, replay_sessions};
 use mosaic_node::{serve, MosaicClient, Wire};
@@ -36,6 +37,15 @@ fn offline_csvs(scenario: &Scenario) -> Vec<(String, String)> {
             )
         })
         .collect()
+}
+
+fn tx(i: u64) -> mosaic_types::Transaction {
+    mosaic_types::Transaction::new(
+        mosaic_types::TxId::new(i),
+        mosaic_types::AccountId::new(i % 800),
+        mosaic_types::AccountId::new((i + 1) % 800),
+        mosaic_types::BlockHeight::new(i / 4),
+    )
 }
 
 fn boot(scenario: &Scenario) -> (String, thread::JoinHandle<mosaic_types::Result<()>>) {
@@ -123,14 +133,6 @@ fn stats_are_per_session_and_answered_on_both_codecs() {
 
     let mut a = MosaicClient::connect(&addr, Wire::Binary).unwrap();
     let mut b = MosaicClient::connect(&addr, Wire::Line).unwrap();
-    let tx = |i: u64| {
-        mosaic_types::Transaction::new(
-            mosaic_types::TxId::new(i),
-            mosaic_types::AccountId::new(i % 800),
-            mosaic_types::AccountId::new((i + 1) % 800),
-            mosaic_types::BlockHeight::new(i / 4),
-        )
-    };
 
     a.begin(0, 2000).unwrap();
     a.ingest_block(&(0..10).map(tx).collect::<Vec<_>>())
@@ -207,14 +209,6 @@ fn two_servers_in_one_process_keep_disjoint_stats() {
     let scenario = quick_scenario();
     let (addr_a, server_a) = boot(&scenario);
     let (addr_b, server_b) = boot(&scenario);
-    let tx = |i: u64| {
-        mosaic_types::Transaction::new(
-            mosaic_types::TxId::new(i),
-            mosaic_types::AccountId::new(i % 800),
-            mosaic_types::AccountId::new((i + 1) % 800),
-            mosaic_types::BlockHeight::new(i / 4),
-        )
-    };
 
     let mut a = MosaicClient::connect(&addr_a, Wire::Binary).unwrap();
     let mut b = MosaicClient::connect(&addr_b, Wire::Line).unwrap();
@@ -243,4 +237,49 @@ fn two_servers_in_one_process_keep_disjoint_stats() {
     drop(a);
     stop(&addr_a, server_a);
     stop(&addr_b, server_b);
+}
+
+#[test]
+fn probe_connections_open_no_session_and_closed_sessions_stay_counted() {
+    let scenario = quick_scenario();
+    let (addr, server) = boot(&scenario);
+
+    // A port check: connect and close without sending a request.
+    drop(TcpStream::connect(&addr).unwrap());
+
+    let mut a = MosaicClient::connect(&addr, Wire::Binary).unwrap();
+    a.begin(0, 2000).unwrap();
+    a.ingest_block(&(0..10).map(tx).collect::<Vec<_>>())
+        .unwrap();
+    let a_stats = a.stats().unwrap();
+    assert!(
+        a_stats.contains(&"server sessions_started 1".to_string()),
+        "the probe must not open a session: {a_stats:?}"
+    );
+    drop(a);
+
+    // The closed session unregisters once its handler sees the EOF;
+    // its counters stay in the server aggregate.
+    let mut c = MosaicClient::connect(&addr, Wire::Line).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let c_stats = loop {
+        let stats = c.stats().unwrap();
+        if stats.contains(&"server sessions_active 1".to_string()) {
+            break stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the closed session never unregistered: {stats:?}"
+        );
+        thread::sleep(Duration::from_millis(10));
+    };
+    for line in [
+        "server sessions_started 2",
+        "server counter core.txs_ingested 10",
+    ] {
+        assert!(c_stats.contains(&line.to_string()), "{c_stats:?}");
+    }
+
+    drop(c);
+    stop(&addr, server);
 }
